@@ -144,7 +144,10 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     # Nodes were appended in forward order, so a single reverse sweep sees
     # every output before any of its producers. Accumulation order across
     # fan-out consumers is therefore fixed by tape order: deterministic.
-    for out, inputs, bwd in reversed(tape._nodes):
+    # Recorded outputs point back at the tape; taking its node list breaks
+    # that cycle, so reference counting frees the step once callers let go.
+    nodes, tape._nodes = tape._nodes, []
+    for out, inputs, bwd in reversed(nodes):
         g = grads.pop(id(out), None)
         if g is None:
             continue  # not on any path to the loss
@@ -345,10 +348,9 @@ def gather_rows(x, idx: Array) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(v[idx])
 
-    def bwd(g):
-        gx = np.zeros_like(v)
-        np.add.at(gx, idx, g)
-        return (gx,)
+    def bwd(g):  # bincount adds in input order, as a sequential scatter-add would
+        flat = (idx[:, None] * v.shape[1] + np.arange(v.shape[1])).ravel()
+        return (np.bincount(flat, g.ravel(), v.size).reshape(v.shape),)
 
     _record(out, (x,), bwd)
     return out
@@ -362,9 +364,7 @@ def pick(x, rows: Array, cols: Array) -> Tensor:
     out = Tensor(v[rows, cols][:, None])
 
     def bwd(g):
-        gx = np.zeros_like(v)
-        np.add.at(gx, (rows, cols), g[:, 0])
-        return (gx,)
+        return (np.bincount(rows * v.shape[1] + cols, g[:, 0], v.size).reshape(v.shape),)
 
     _record(out, (x,), bwd)
     return out
@@ -523,6 +523,11 @@ class SegmentIndex:
     def num_entries(self) -> int:
         return len(self.targets)
 
+    def csr(self, data: Array) -> sp.csr_matrix:
+        """The (num_nodes, num_nodes) matrix with data[k] at (targets[k], sources[k])."""
+        return sp.csr_matrix((data, self.sources, self.offsets),
+                             shape=(self.num_nodes, self.num_nodes))
+
 
 def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
     """Build the per-target grouping for message passing.
@@ -568,24 +573,26 @@ def segment_softmax(logits, index: SegmentIndex) -> Tensor:
     return out
 
 
-def segment_weighted_sum(values, weights, index: SegmentIndex) -> Tensor:
-    """Sum weights[k] * values[k] over each target group.
+def spmm(weights, h, index: SegmentIndex) -> Tensor:
+    """A @ h for the index's CSR matrix A with data weights[:, 0].
 
-    values: (num_entries, d), weights: (num_entries, 1) -> (num_nodes, d).
+    weights: (num_entries, 1), h: (num_nodes, d) -> (num_nodes, d). The
+    backward is A^T @ g for h and, per entry, g[target] . h[source] (an
+    SDDMM) for the weights.
     """
-    vv, wv = _values(values), _values(weights)
-    if vv.shape[0] != index.num_entries or wv.shape != (index.num_entries, 1):
-        raise EngineError("segment_weighted_sum operands do not match the index")
-    starts = index.offsets[:-1]
-    out = Tensor(np.add.reduceat(vv * wv, starts, axis=0))
+    wv, hv = _values(weights), _values(h)
+    if wv.shape != (index.num_entries, 1) or hv.shape[0] != index.num_nodes:
+        raise EngineError(f"spmm operands {wv.shape} and {hv.shape} do not match the index")
+    A = index.csr(wv[:, 0])
+    out = Tensor(A @ hv)
 
     def bwd(g):
-        ge = g[index.targets]
-        gv = ge * wv if _needs_grad(values) else None
-        gw = (ge * vv).sum(axis=1, keepdims=True) if _needs_grad(weights) else None
-        return (gv, gw)
+        gw = (np.einsum("kj,kj->k", g[index.targets], hv[index.sources])[:, None]
+              if _needs_grad(weights) else None)
+        gh = A.T @ g if _needs_grad(h) else None
+        return (gw, gh)
 
-    _record(out, (values, weights), bwd)
+    _record(out, (weights, h), bwd)
     return out
 
 

@@ -713,7 +713,8 @@ def _random_segment_graph(rng: np.random.Generator, n: int):
 
 def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     """One gradient check per differentiable operation, then the full
-    OOD-attention objective on a 12-node random graph."""
+    oodgat, gcn and gat objectives on a 12-node random graph, and the
+    oodgat objective once more in training mode (dropout and drop-edge)."""
     rng = np.random.default_rng(seed)
 
     def t(shape, low=-2.0, high=2.0):
@@ -778,15 +779,16 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
 
     seg = _random_segment_graph(rng, 6)
     sv = t((seg.num_entries, 1))
-    sw = t((seg.num_entries, 3))
+    # an (entries, 3) draw keeps the random stream of the checks below
+    sh = Tensor(t((seg.num_entries, 3)).values[:seg.num_nodes].copy(), requires_grad=True)
     check("segment_softmax", lambda: engine.reduce_sum(
         engine.mul(engine.segment_softmax(sv, seg),
                    Tensor(np.arange(seg.num_entries, dtype=float)[:, None]))),
         {"sv": sv}, 1e-6)
-    check("segment_weighted_sum", lambda: engine.reduce_sum(
-        engine.mul(engine.segment_weighted_sum(sw, engine.sigmoid(sv), seg),
-                   Tensor(np.ones((seg.num_nodes, 3))))),
-        {"sv": sv, "sw": sw}, 1e-6)
+    mixer = np.linspace(-1.0, 1.0, sh.values.size).reshape(sh.shape)
+    check("spmm", lambda: engine.reduce_sum(
+        engine.mul(engine.spmm(engine.sigmoid(sv), sh, seg), mixer)),
+        {"sv": sv, "sh": sh}, 1e-6)
 
     # the full objective on a 12-node random graph
     n = 12
@@ -804,12 +806,20 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     weights = LossWeights(beta=2.0, gamma=0.05, zeta=0.005, epsilon=0.2)
     idx = graph_index(graph)
 
-    def full_objective():
-        out = model_forward(cfg, params, graph.features, idx)
-        total, _ = compute_objective(out, graph.labels, mask, weights, t=3)
-        return total
+    def objective(config, model_params, loss_weights, training=False):
+        # a fresh identically-seeded rng keeps dropout and drop-edge masks fixed
+        return lambda: compute_objective(model_forward(
+            config, model_params, graph.features, idx, training=training,
+            rng=np.random.default_rng(17)), graph.labels, mask, loss_weights, t=3)[0]
 
-    check("full_oodgat_objective", full_objective, params, 1e-4)
+    check("full_oodgat_objective", objective(cfg, params, weights), params, 1e-4)
+    for arch, heads in (("gcn", 1), ("gat", 2)):
+        arch_cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=5)
+        arch_params = init_params(arch_cfg, 6, rng)
+        check(f"full_{arch}_objective", objective(arch_cfg, arch_params, LossWeights()),
+              arch_params, 1e-4)
+    check("full_oodgat_objective_training", objective(
+        replace(cfg, dropout_p=0.3, drop_edge_p=0.3), params, weights, True), params, 1e-4)
     return checks
 
 

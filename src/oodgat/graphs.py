@@ -204,15 +204,14 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     if len(feat_lines) != num_nodes:
         raise GraphDataError(f"features.csv has {len(feat_lines)} rows, labels.tsv has {num_nodes}")
     width = feat_lines[0].count(",") + 1
-    features = np.empty((num_nodes, width))
     for i, ln in enumerate(feat_lines):
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise GraphDataError(f"features.csv row {i} has {len(parts)} values, expected {width}")
-        try:
-            features[i] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise GraphDataError(f"features.csv row {i}: {exc}") from None
+        if ln.count(",") + 1 != width:
+            raise GraphDataError(f"features.csv row {i} has {ln.count(',') + 1} values, "
+                                 f"expected {width}")
+    try:
+        features = np.loadtxt(feat_lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # numpy names the row, counted from 0 as above
+        raise GraphDataError(f"features.csv: {exc}") from None
 
     edge_lines = _read_lines(root / "edges.tsv")
     raw = np.empty((len(edge_lines), 2), dtype=np.int64)

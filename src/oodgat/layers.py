@@ -151,12 +151,6 @@ def drop_edge(index: SegmentIndex, p: float, rng: np.random.Generator) -> Segmen
                         self_pos=np.flatnonzero(targets == sources))
 
 
-def _gcn_coeff(index: SegmentIndex) -> np.ndarray:
-    """Symmetric normalization 1/sqrt(deg_t * deg_s), degrees counting self."""
-    deg = np.diff(index.offsets).astype(np.float64)
-    return (1.0 / np.sqrt(deg[index.targets] * deg[index.sources]))[:, None]
-
-
 def _input_dropout(x, p: float, rng: np.random.Generator):
     """Feature dropout that preserves sparsity for sparse constants."""
     if sp.issparse(x):
@@ -197,9 +191,7 @@ def oodgat_layer(h, index: SegmentIndex, weights: list[Tensor], score_vecs: list
     for W, a in zip(weights, score_vecs):
         hw = engine.matmul(h, W)
         w = engine.sigmoid(engine.matmul(hw, a))
-        alpha = oodgat_attention(w, index)
-        msgs = engine.gather_rows(hw, index.sources)
-        aggregated.append(engine.segment_weighted_sum(msgs, alpha, index))
+        aggregated.append(engine.spmm(oodgat_attention(w, index), hw, index))
         head_scores.append(w)
     mean_score = engine.scale(reduce(engine.add, head_scores), 1.0 / len(head_scores))
     if combine == "concat":
@@ -211,10 +203,10 @@ def oodgat_layer(h, index: SegmentIndex, weights: list[Tensor], score_vecs: list
 
 
 def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
-    """Symmetric-normalized aggregation with self entries; no activation."""
-    hw = engine.matmul(h, W)
-    msgs = engine.gather_rows(hw, index.sources)
-    return engine.segment_weighted_sum(msgs, _gcn_coeff(index), index)
+    """D^-1/2 A D^-1/2 (h W), degrees counting self entries; no activation."""
+    deg = np.diff(index.offsets).astype(np.float64)
+    a_hat = index.csr(1.0 / np.sqrt(deg[index.targets] * deg[index.sources]))
+    return engine.matmul(a_hat, engine.matmul(h, W))
 
 
 def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor,
@@ -234,9 +226,7 @@ def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor,
         engine.add(engine.gather_rows(s_t, index.targets),
                    engine.gather_rows(s_s, index.sources)),
         leaky_slope)
-    alpha = engine.segment_softmax(logits, index)
-    msgs = engine.gather_rows(hw, index.sources)
-    return engine.segment_weighted_sum(msgs, alpha, index)
+    return engine.spmm(engine.segment_softmax(logits, index), hw, index)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Expected gradients here come from two independent sources: hand-derived
 closed forms frozen as literals, and central finite differences via
 grad_check. Segment ops are additionally checked against plain-loop
-reference implementations.
+reference implementations, and spmm against a dense matrix product.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from oodgat.engine import (
     scale,
     sigmoid,
     slice_rows,
+    spmm,
     sqrt,
     sub,
 )
@@ -83,6 +87,24 @@ def test_backward_twice_on_same_tape_raises():
         backward(loss)
         with pytest.raises(EngineError, match="consumed"):
             backward(loss)
+
+
+def test_backward_frees_the_tape_without_the_cyclic_gc():
+    w = leaf(np.ones((3, 2)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with GradTape():
+            hidden = sigmoid(matmul(np.full((4, 3), 0.5), w))
+            loss = reduce_sum(mul(hidden, hidden))
+        ref = weakref.ref(hidden.values)
+        backward(loss)
+        del hidden, loss
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert w.grad is not None
 
 
 def test_nested_tapes_raise():
@@ -235,11 +257,11 @@ def loop_segment_softmax(logits, index):
     return out
 
 
-def loop_segment_weighted_sum(values, weights, index):
-    out = np.zeros((index.num_nodes, values.shape[1]))
-    for k in range(index.num_entries):
-        out[index.targets[k]] += weights[k, 0] * values[k]
-    return out
+def dense_matrix(weights, index):
+    A = np.zeros((index.num_nodes, index.num_nodes))
+    for t, s, w in zip(index.targets, index.sources, weights[:, 0]):
+        A[t, s] += w
+    return A
 
 
 def small_index():
@@ -310,13 +332,59 @@ def test_segment_softmax_shift_invariance():
     assert np.all(np.isfinite(extreme))
 
 
-def test_segment_weighted_sum_matches_loop_reference():
+@pytest.mark.parametrize("src,dst,n", [
+    (np.arange(20) % 8, (np.arange(20) * 3 + 1) % 8, 8),   # repeated pairs
+    (np.array([], dtype=int), np.array([], dtype=int), 5),  # self entries only
+    (np.array([0, 1, 1]), np.array([1, 0, 2]), 6),           # nodes 3..5 isolated
+])
+def test_spmm_matches_dense_product(src, dst, n):
     rng = np.random.default_rng(11)
-    idx = build_segment_index(rng.integers(0, 8, 20), rng.integers(0, 8, 20), 8)
-    vals = rng.standard_normal((idx.num_entries, 4))
+    idx = build_segment_index(src, dst, n)
     wts = rng.standard_normal((idx.num_entries, 1))
-    got = engine.segment_weighted_sum(Tensor(vals), Tensor(wts), idx).values
-    np.testing.assert_allclose(got, loop_segment_weighted_sum(vals, wts, idx), atol=1e-12)
+    h = rng.standard_normal((n, 4))
+    got = spmm(Tensor(wts), Tensor(h), idx).values
+    np.testing.assert_allclose(got, dense_matrix(wts, idx) @ h, atol=1e-12)
+
+
+def test_spmm_backward_matches_dense_product():
+    rng = np.random.default_rng(12)
+    idx = build_segment_index(rng.integers(0, 7, 15), rng.integers(0, 7, 15), 7)
+    wts = leaf(rng.standard_normal((idx.num_entries, 1)))
+    h = leaf(rng.standard_normal((7, 3)))
+    g = rng.standard_normal((7, 3))
+    with GradTape():
+        grads = backward(reduce_sum(mul(spmm(wts, h, idx), g)))
+    A = dense_matrix(wts.values, idx)
+    np.testing.assert_allclose(grads[h], A.T @ g, atol=1e-12)
+    dA = g @ h.values.T  # d loss / d A[t, s]
+    np.testing.assert_allclose(grads[wts][:, 0], dA[idx.targets, idx.sources], atol=1e-12)
+
+
+def test_spmm_rejects_mismatched_operands():
+    idx = small_index()
+    with pytest.raises(EngineError, match="spmm"):
+        spmm(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 2))), idx)
+    with pytest.raises(EngineError, match="spmm"):
+        spmm(Tensor(np.ones((6, 1))), Tensor(np.ones((4, 2))), idx)
+
+
+def test_gather_rows_and_pick_scatter_match_add_at():
+    rng = np.random.default_rng(13)
+    x = leaf(rng.standard_normal((5, 3)))
+    rows = np.array([4, 0, 4, 4, 2, 0])
+    cols = np.array([1, 2, 1, 0, 2, 2])
+    g_rows = rng.standard_normal((len(rows), 3))
+    g_pick = rng.standard_normal((len(rows), 1))
+    with GradTape():
+        grads = backward(reduce_sum(mul(gather_rows(x, rows), g_rows)))
+    want = np.zeros((5, 3))
+    np.add.at(want, rows, g_rows)
+    np.testing.assert_array_equal(grads[x], want)
+    with GradTape():
+        grads = backward(reduce_sum(mul(pick(x, rows, cols), g_pick)))
+    want = np.zeros((5, 3))
+    np.add.at(want, (rows, cols), g_pick[:, 0])
+    np.testing.assert_array_equal(grads[x], want)
 
 
 def test_gather_rows_scatter_add_backward():
@@ -489,7 +557,7 @@ def test_gradcheck_segment_ops():
     rng = np.random.default_rng(46)
     idx = build_segment_index(rng.integers(0, 6, 12), rng.integers(0, 6, 12), 6)
     logits = leaf(rng.standard_normal((idx.num_entries, 1)))
-    vals = leaf(rng.standard_normal((idx.num_entries, 3)))
+    vals = leaf(rng.standard_normal((6, 3)))
     wts = leaf(rng.uniform(0.1, 1.0, (idx.num_entries, 1)))
     params = {"logits": logits, "vals": vals, "wts": wts}
 
@@ -497,10 +565,9 @@ def test_gradcheck_segment_ops():
     check(lambda: reduce_sum(mul(engine.segment_softmax(logits, idx),
                                  Tensor(np.arange(idx.num_entries, dtype=float)[:, None]))),
           params)
-    check(lambda: reduce_sum(mul(engine.segment_weighted_sum(vals, wts, idx), mixer)), params)
-    check(lambda: reduce_sum(mul(
-        engine.segment_weighted_sum(vals, engine.segment_softmax(logits, idx), idx),
-        mixer)), params)
+    check(lambda: reduce_sum(mul(spmm(wts, vals, idx), mixer)), params)
+    check(lambda: reduce_sum(mul(spmm(engine.segment_softmax(logits, idx), vals, idx),
+                                 mixer)), params)
 
 
 def test_gradcheck_dropout_with_fixed_mask():

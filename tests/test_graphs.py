@@ -101,6 +101,14 @@ def test_load_bundle_ragged_features(tmp_path):
         load_graph_bundle(root, ood_classes={1})
 
 
+def test_load_bundle_non_numeric_feature(tmp_path):
+    root = tmp_path / "b"
+    write_bundle(root, [(0, 1)], np.zeros((3, 2)), [0, 1, 1])
+    (root / "features.csv").write_text("1.0,2.0\n3.0,abc\n5.0,6.0\n")
+    with pytest.raises(GraphDataError, match="could not convert .* at row 1"):
+        load_graph_bundle(root, ood_classes={1})
+
+
 def test_load_bundle_gap_in_labels(tmp_path):
     write_bundle(tmp_path / "b", [(0, 1)], np.zeros((2, 1)), [0, 2])
     with pytest.raises(GraphDataError, match="contiguous"):

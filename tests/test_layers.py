@@ -379,6 +379,20 @@ def test_drop_edge_keeps_self_entries():
     assert dropped.offsets[-1] == dropped.num_entries
 
 
+def test_drop_edge_keeps_the_entries_of_the_reference_mask():
+    g = toy_graph(n=12, seed=25, p=0.6)
+    idx = graph_index(g)
+    dropped = drop_edge(idx, 0.5, np.random.default_rng(31))
+    # reference: one uniform draw per entry in entry order, self entries kept
+    keep = np.random.default_rng(31).random(idx.num_entries) >= 0.5
+    keep[idx.self_pos] = True
+    np.testing.assert_array_equal(dropped.targets, idx.targets[keep])
+    np.testing.assert_array_equal(dropped.sources, idx.sources[keep])
+    np.testing.assert_array_equal(
+        dropped.offsets, np.concatenate([[0], np.cumsum(np.bincount(idx.targets[keep],
+                                                                    minlength=12))]))
+
+
 def test_drop_edge_zero_rate_returns_index_unchanged():
     g = toy_graph(n=6, seed=23)
     idx = graph_index(g)
