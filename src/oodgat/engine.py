@@ -302,22 +302,6 @@ def elu(x) -> Tensor:
     return out
 
 
-_POINTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div,
-    "sigmoid": sigmoid, "exp": exp, "log": log, "sqrt": sqrt,
-    "abs": absolute, "relu": relu, "leaky_relu": leaky_relu, "elu": elu,
-}
-
-
-def pointwise(op_kind: str, *inputs) -> Tensor:
-    """Dispatch a pointwise op by name. Unary ops take one input."""
-    try:
-        fn = _POINTWISE[op_kind]
-    except KeyError:
-        raise EngineError(f"unknown pointwise op {op_kind!r}") from None
-    return fn(*inputs)
-
-
 # ---------------------------------------------------------------------------
 # matmul and structural ops
 
@@ -419,14 +403,6 @@ def row_sum(x) -> Tensor:
     out = Tensor(v.sum(axis=1, keepdims=True))
     _record(out, (x,), lambda g: (np.broadcast_to(g, v.shape).copy(),))
     return out
-
-
-def reduce_op(op_kind: str, x) -> Tensor:
-    fns = {"sum": reduce_sum, "mean": reduce_mean, "row_sum": row_sum}
-    try:
-        return fns[op_kind](x)
-    except KeyError:
-        raise EngineError(f"unknown reduction {op_kind!r}") from None
 
 
 def row_softmax(x) -> Tensor:

@@ -5,7 +5,6 @@ A graph bundle is a directory of plain text files (UTF-8, LF):
     edges.tsv      one undirected edge per line: "u<TAB>v", 0-based ids
     features.csv   row v = comma-separated real features of node v
     labels.tsv     one integer class id per line
-    splits.tsv     optional: "node<TAB>{train|val|test}" per line
 
 Graphs are immutable after construction and safe to share across workers.
 """
@@ -30,15 +29,12 @@ class Graph:
     """Undirected graph with node features, class labels, and ID/OOD flags.
 
     `edges` stores each undirected edge once as (min, max), lexicographically
-    sorted. `indptr`/`indices` hold the symmetric CSR adjacency with both
-    directions and no self-loops. identity[v] is 0 for in-distribution
-    nodes and 1 for out-of-distribution nodes.
+    sorted, with no self-loops. identity[v] is 0 for in-distribution nodes
+    and 1 for out-of-distribution nodes.
     """
 
     num_nodes: int
     edges: np.ndarray          # (m, 2) int64, u < v
-    indptr: np.ndarray         # (num_nodes + 1,) int64
-    indices: np.ndarray        # (2m,) int64
     features: np.ndarray       # (num_nodes, d) float64
     labels: np.ndarray         # (num_nodes,) int64
     identity: np.ndarray       # (num_nodes,) int8
@@ -57,10 +53,7 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
 
 @dataclass(frozen=True)
@@ -130,16 +123,6 @@ def _canonical_edges(edges: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pairs[keep])
 
 
-def _build_csr(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return indptr, dst.astype(np.int64)
-
-
 def make_graph(num_nodes: int, edges, features, labels, identity) -> Graph:
     """Assemble a Graph, canonicalizing edges and validating every invariant."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -149,6 +132,9 @@ def make_graph(num_nodes: int, edges, features, labels, identity) -> Graph:
 
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise GraphDataError(f"feature matrix must have {num_nodes} rows, got {features.shape}")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise GraphDataError(f"feature row {int(np.argmin(finite))} has a non-finite value")
     if labels.shape != (num_nodes,):
         raise GraphDataError("label vector length mismatch")
     if identity.shape != (num_nodes,):
@@ -165,9 +151,7 @@ def make_graph(num_nodes: int, edges, features, labels, identity) -> Graph:
         if len(flags) > 1:
             raise GraphDataError(f"class {c} maps to both identity flags")
 
-    edges = _canonical_edges(edges)
-    indptr, indices = _build_csr(num_nodes, edges)
-    return Graph(num_nodes=num_nodes, edges=edges, indptr=indptr, indices=indices,
+    return Graph(num_nodes=num_nodes, edges=_canonical_edges(edges),
                  features=features, labels=labels, identity=identity)
 
 
@@ -199,6 +183,8 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     except ValueError as exc:
         raise GraphDataError(f"labels.tsv: {exc}") from None
     num_nodes = len(labels)
+    if num_nodes == 0:
+        raise GraphDataError("labels.tsv lists no nodes")
 
     feat_lines = _read_lines(root / "features.csv")
     if len(feat_lines) != num_nodes:
@@ -235,7 +221,7 @@ def load_graph_bundle(path, ood_classes) -> Graph:
                     self_loops, duplicates, root)
 
     present = set(np.unique(labels).tolist())
-    expected = set(range(int(labels.max()) + 1)) if num_nodes else set()
+    expected = set(range(int(labels.max()) + 1))
     if present != expected:
         raise GraphDataError(f"labels must be contiguous from 0; missing {sorted(expected - present)}")
     unknown = ood_classes - present
@@ -264,29 +250,6 @@ def save_graph_bundle(graph: Graph, path) -> None:
             fh.write(f"{y}\n")
 
 
-def load_splits(path, num_nodes: int) -> SplitAssignment:
-    """Read a splits.tsv file into masks. Unlisted nodes land in no mask."""
-    names = {"train": 0, "val": 1, "test": 2}
-    masks = np.zeros((3, num_nodes), dtype=bool)
-    for i, ln in enumerate(_read_lines(Path(path))):
-        parts = ln.split("\t")
-        if len(parts) != 2 or parts[1] not in names:
-            raise GraphDataError(f"splits.tsv line {i}: expected 'node<TAB>train|val|test'")
-        node = int(parts[0])
-        if not 0 <= node < num_nodes:
-            raise GraphDataError(f"splits.tsv line {i}: node id {node} out of range")
-        masks[names[parts[1]], node] = True
-    return SplitAssignment(train_mask=masks[0], val_mask=masks[1], test_mask=masks[2])
-
-
-def save_splits(splits: SplitAssignment, path) -> None:
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        for name, mask in (("train", splits.train_mask), ("val", splits.val_mask),
-                           ("test", splits.test_mask)):
-            for node in np.flatnonzero(mask):
-                fh.write(f"{node}\t{name}\n")
-
-
 # ---------------------------------------------------------------------------
 # homophily
 
@@ -303,10 +266,11 @@ def node_homophily(graph: Graph, node_labels) -> float:
     deg = graph.degrees
     if not np.any(deg > 0):
         raise GraphDataError("homophily is undefined on an edgeless graph")
-    owners = np.repeat(np.arange(graph.num_nodes), deg)
-    same = (node_labels[owners] == node_labels[graph.indices]).astype(np.float64)
-    sums = np.zeros(graph.num_nodes)
-    np.add.at(sums, owners, same)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    same = (node_labels[u] == node_labels[v]).astype(np.float64)
+    # whole-number sums per endpoint, so the addition order cannot matter
+    sums = (np.bincount(u, weights=same, minlength=graph.num_nodes)
+            + np.bincount(v, weights=same, minlength=graph.num_nodes))
     active = deg > 0
     return float((sums[active] / deg[active]).mean())
 
@@ -388,10 +352,7 @@ def filter_edges(graph: Graph, keep, removal_fraction: float, seed: int) -> Grap
     new_edges = graph.edges[selected]
     if len(new_edges) == 0:
         log.warning("edge filter produced an edgeless graph")
-    indptr, indices = _build_csr(graph.num_nodes, new_edges)
-    return Graph(num_nodes=graph.num_nodes, edges=new_edges, indptr=indptr,
-                 indices=indices, features=graph.features, labels=graph.labels,
-                 identity=graph.identity)
+    return replace(graph, edges=new_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ probability rows.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import ConfigError
 from .graphs import Graph
 
 ARCHITECTURES = ("mlp", "gcn", "gat", "oodgat")
-CHECKPOINT_VERSION = 1
 
 # hidden widths when the config leaves hidden_dim at 0: attention models
 # get per-head width, the dense baselines get a single wider layer
@@ -62,16 +60,8 @@ class ModelConfig:
 
 
 @dataclass
-class LayerOutput:
-    hidden: Tensor
-    head_scores: list = field(default_factory=list)   # K tensors (n, 1)
-    mean_score: Tensor | None = None                  # (n, 1), head average
-
-
-@dataclass
 class ModelOutputs:
     probs: Tensor                    # (n, C), rows sum to 1
-    layer_outputs: list              # per-layer LayerOutput
     w1: Tensor | None = None         # layer-1 mean score (oodgat only)
     w2: Tensor | None = None
 
@@ -177,12 +167,13 @@ def oodgat_attention(scores: Tensor, index: SegmentIndex) -> Tensor:
 
 
 def oodgat_layer(h, index: SegmentIndex, weights: list[Tensor], score_vecs: list[Tensor],
-                 combine: str, activation: str) -> LayerOutput:
-    """One OOD-aware attention layer over all heads.
+                 combine: str, activation: str) -> tuple[Tensor, Tensor]:
+    """One OOD-aware attention layer over all heads: (hidden, mean score).
 
     combine "concat" stacks head outputs and applies the activation
     (hidden layer); combine "average" averages heads and applies a row
-    softmax (prediction layer).
+    softmax (prediction layer). The mean score (n, 1) is the head average
+    of the node scores.
     """
     if combine not in ("concat", "average"):
         raise ConfigError(f"unknown combine mode {combine!r}")
@@ -199,7 +190,7 @@ def oodgat_layer(h, index: SegmentIndex, weights: list[Tensor], score_vecs: list
     else:
         avg = engine.scale(reduce(engine.add, aggregated), 1.0 / len(aggregated))
         hidden = engine.row_softmax(avg)
-    return LayerOutput(hidden=hidden, head_scores=head_scores, mean_score=mean_score)
+    return hidden, mean_score
 
 
 def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
@@ -209,9 +200,8 @@ def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
     return engine.matmul(a_hat, engine.matmul(h, W))
 
 
-def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor,
-              leaky_slope: float = 0.2) -> Tensor:
-    """Single-head attention: e_ij = LeakyReLU(attn^T [Wh_i || Wh_j]).
+def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor) -> Tensor:
+    """Single-head attention: e_ij = LeakyReLU_0.2(attn^T [Wh_i || Wh_j]).
 
     The concatenated form splits into a target half and a source half, so
     per-entry logits are a sum of two per-node projections.
@@ -222,10 +212,8 @@ def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor,
     right = engine.slice_rows(attn_vec, d, 2 * d)
     s_t = engine.matmul(hw, left)
     s_s = engine.matmul(hw, right)
-    logits = engine.leaky_relu(
-        engine.add(engine.gather_rows(s_t, index.targets),
-                   engine.gather_rows(s_s, index.sources)),
-        leaky_slope)
+    logits = engine.leaky_relu(engine.add(engine.gather_rows(s_t, index.targets),
+                                          engine.gather_rows(s_s, index.sources)))
     return engine.spmm(engine.segment_softmax(logits, index), hw, index)
 
 
@@ -257,7 +245,7 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         if training and config.dropout_p > 0:
             hidden = engine.dropout(hidden, config.dropout_p, rng)
         probs = engine.row_softmax(engine.matmul(hidden, params["l2.W"]))
-        return ModelOutputs(probs=probs, layer_outputs=[LayerOutput(hidden=hidden)])
+        return ModelOutputs(probs=probs)
 
     idx1 = drop_edge(index, config.drop_edge_p, rng) if training else index
     if arch == "gcn":
@@ -266,7 +254,7 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
             hidden = engine.dropout(hidden, config.dropout_p, rng)
         idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
         probs = engine.row_softmax(gcn_layer(hidden, idx2, params["l2.W"]))
-        return ModelOutputs(probs=probs, layer_outputs=[LayerOutput(hidden=hidden)])
+        return ModelOutputs(probs=probs)
 
     if arch == "gat":
         heads = [gat_layer(x, idx1, params[f"l1.h{k}.W"], params[f"l1.h{k}.attn"])
@@ -279,57 +267,31 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
                 for k in range(config.heads)]
         avg = engine.scale(reduce(engine.add, outs), 1.0 / len(outs))
         probs = engine.row_softmax(avg)
-        return ModelOutputs(probs=probs, layer_outputs=[LayerOutput(hidden=hidden)])
+        return ModelOutputs(probs=probs)
 
     # oodgat
-    l1 = oodgat_layer(
+    hidden, w1 = oodgat_layer(
         x, idx1,
         weights=[params[f"l1.h{k}.W"] for k in range(config.heads)],
         score_vecs=[params[f"l1.h{k}.a"] for k in range(config.heads)],
         combine="concat", activation=config.activation)
-    hidden = l1.hidden
     if training and config.dropout_p > 0:
         hidden = engine.dropout(hidden, config.dropout_p, rng)
     idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
-    l2 = oodgat_layer(
+    probs, w2 = oodgat_layer(
         hidden, idx2,
         weights=[params[f"l2.h{k}.W"] for k in range(config.heads)],
         score_vecs=[params[f"l2.h{k}.a"] for k in range(config.heads)],
         combine="average", activation=config.activation)
-    return ModelOutputs(probs=l2.hidden, layer_outputs=[l1, l2],
-                        w1=l1.mean_score, w2=l2.mean_score)
+    return ModelOutputs(probs=probs, w1=w1, w2=w2)
 
 
-def maybe_sparse_features(features: np.ndarray, density_cutoff: float = 0.25):
-    """Return a CSR copy when the feature matrix is sparse enough to pay off."""
+def maybe_sparse_features(features: np.ndarray):
+    """Return a CSR copy when under a quarter of the features are nonzero."""
     density = np.count_nonzero(features) / max(features.size, 1)
-    if density < density_cutoff:
+    if density < 0.25:
         return sp.csr_matrix(features)
     return features
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_checkpoint(path, params: dict[str, Tensor], meta: dict | None = None) -> None:
-    """Versioned npz of named parameter matrices plus a JSON meta record."""
-    arrays = {f"param:{name}": t.values for name, t in params.items()}
-    header = {"version": CHECKPOINT_VERSION, "meta": meta or {}}
-    arrays["__header__"] = np.array(json.dumps(header, sort_keys=True))
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[dict[str, Tensor], dict]:
-    with np.load(path, allow_pickle=False) as bundle:
-        if "__header__" not in bundle:
-            raise ConfigError(f"{path} is not a model checkpoint")
-        header = json.loads(str(bundle["__header__"]))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {header.get('version')}")
-        params = {key[len("param:"):]: Tensor(bundle[key], requires_grad=True)
-                  for key in bundle.files if key.startswith("param:")}
-    return params, header["meta"]
 
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -43,26 +43,6 @@ class ScoredNodes:
         return self.scores[self.eval_mask], self.identity[self.eval_mask].astype(bool)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    accuracy: float
-    auroc: float
-    aupr: float
-    fpr_at_95: float
-    joint_f1: float
-    joint_threshold: float
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auroc": self.auroc,
-            "aupr": self.aupr,
-            "fpr_at_95": self.fpr_at_95,
-            "joint_f1": self.joint_f1,
-            "joint_threshold": self.joint_threshold,
-        }
-
-
 def entropy_of_probs(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy per row, natural log, 0*log(0) = 0."""
     p = np.asarray(probs, dtype=np.float64)
@@ -172,17 +152,6 @@ def roc_points(s: ScoredNodes) -> np.ndarray:
     rows = [(np.inf, 0.0, 0.0)]
     for th, t, f in zip(thresholds, tp, fp):
         rows.append((float(th), t / n_pos, f / n_neg))
-    return np.array(rows)
-
-
-def pr_points(s: ScoredNodes) -> np.ndarray:
-    """PR sweep as rows (threshold, recall, precision)."""
-    thresholds, tp, fp, n_pos, _ = _threshold_sweep(s)
-    if n_pos == 0:
-        raise MetricError("PR needs at least one OOD node in the mask")
-    rows = []
-    for th, t, f in zip(thresholds, tp, fp):
-        rows.append((float(th), t / n_pos, t / (t + f)))
     return np.array(rows)
 
 

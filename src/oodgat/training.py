@@ -1,5 +1,6 @@
 """Full-graph training: Adam, early stopping on the validation composite,
-and grid search over hyperparameter grids.
+and the grid vocabulary (which config field each grid key sets) that the
+gridsearch experiment expands.
 
 One "step" is one gradient update computed on the whole graph
 (transductive full-batch training). After every update the model is
@@ -162,17 +163,15 @@ def validation_scores(outputs, graph: Graph, val_mask: np.ndarray) -> tuple[floa
 
 
 def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
-          cfg: TrainConfig, features=None) -> tuple[TrainedModel, TrainHistory]:
+          cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     """Train one model to early stopping and return the best checkpoint.
 
     The seed fixes parameter initialization and every dropout / drop-edge
-    draw, so a repeated call is bit-identical. `features` may carry a
-    preprocessed (possibly sparse) feature matrix to share across runs.
+    draw, so a repeated call is bit-identical.
     """
     config = replace(model_config, dropout_p=cfg.dropout_p,
                      drop_edge_p=cfg.drop_edge_p)
-    if features is None:
-        features = maybe_sparse_features(graph.features)
+    features = maybe_sparse_features(graph.features)
     index = graph_index(graph)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(config, graph.num_features, rng)
@@ -232,20 +231,6 @@ _TRAIN_KEYS = {"lr", "weight_decay", "dropout_p", "drop_edge_p",
 _LOSS_KEYS = {f.name for f in fields(LossWeights)}
 
 
-@dataclass(frozen=True)
-class GridCell:
-    assignment: tuple          # ((key, value), ...) in sorted-key order
-    model: ModelConfig
-    train: TrainConfig
-    score: float               # mean best validation composite over seeds
-
-
-@dataclass
-class GridResult:
-    best: GridCell
-    leaderboard: list[GridCell]   # score-descending, ties in config order
-
-
 def expand_space(space: dict[str, list]) -> list[dict]:
     """Cartesian product of a {field: candidates} grid, in lexicographic
     order of the sorted field names."""
@@ -273,33 +258,3 @@ def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
     if train_over:
         train_cfg = replace(train_cfg, **train_over)
     return model, train_cfg
-
-
-def grid_search(model_config: ModelConfig, train_config: TrainConfig,
-                graph: Graph, splits: SplitAssignment, space: dict[str, list],
-                seeds: list[int] | None = None, features=None) -> GridResult:
-    """Train every cell of the grid and rank by validation composite.
-
-    Each cell optionally averages over several seeds. Ties are broken by
-    the lexicographic order of the cell's assignment, so the result is
-    deterministic for any evaluation order.
-    """
-    if seeds is not None and not seeds:
-        raise ConfigError("seed list is empty")
-    if features is None:
-        features = maybe_sparse_features(graph.features)
-    cells = []
-    for assignment in expand_space(space):
-        model, cfg = apply_assignment(model_config, train_config, assignment)
-        cell_seeds = seeds if seeds is not None else [cfg.seed]
-        scores = []
-        for seed in cell_seeds:
-            _, history = train(model, graph, splits,
-                               replace(cfg, seed=seed), features=features)
-            scores.append(history.best_composite)
-        cells.append(GridCell(assignment=tuple(sorted(assignment.items())),
-                              model=model, train=cfg,
-                              score=float(np.mean(scores))))
-    leaderboard = sorted(
-        cells, key=lambda c: (-c.score, tuple(repr(v) for _, v in c.assignment)))
-    return GridResult(best=leaderboard[0], leaderboard=leaderboard)

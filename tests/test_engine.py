@@ -35,9 +35,7 @@ from oodgat.engine import (
     matmul,
     mul,
     pick,
-    pointwise,
     reduce_mean,
-    reduce_op,
     reduce_sum,
     relu,
     row_softmax,
@@ -462,28 +460,6 @@ def test_cosine_zero_vector_guard():
     assert c.values[0, 0] == 0.0
     np.testing.assert_array_equal(grads[u], np.zeros((2, 1)))
     np.testing.assert_array_equal(grads[v], np.zeros((2, 1)))
-
-
-# ---------------------------------------------------------------------------
-# dispatch surfaces
-
-
-def test_pointwise_dispatch_matches_direct_call():
-    x = Tensor([[0.3, -0.7]])
-    np.testing.assert_array_equal(pointwise("sigmoid", x).values, sigmoid(x).values)
-    y = Tensor([[1.0, 2.0]])
-    np.testing.assert_array_equal(pointwise("add", x, y).values, add(x, y).values)
-    with pytest.raises(EngineError, match="unknown"):
-        pointwise("nope", x)
-
-
-def test_reduce_dispatch():
-    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert reduce_op("sum", x).values[0, 0] == 10.0
-    assert reduce_op("mean", x).values[0, 0] == 2.5
-    np.testing.assert_array_equal(reduce_op("row_sum", x).values, [[3.0], [7.0]])
-    with pytest.raises(EngineError, match="unknown"):
-        reduce_op("max", x)
 
 
 # ---------------------------------------------------------------------------

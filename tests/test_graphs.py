@@ -16,14 +16,12 @@ from oodgat.graphs import (
     filter_edges,
     identity_homophily,
     load_graph_bundle,
-    load_splits,
     make_graph,
     make_splits,
     node_homophily,
     partition_edges,
     relabel_for_training,
     save_graph_bundle,
-    save_splits,
     sbm_generate,
 )
 
@@ -53,7 +51,6 @@ def test_make_graph_canonicalizes_edges():
     g = make_graph(3, [(2, 1), (0, 1), (1, 2)], np.zeros((3, 1)), [0, 0, 0], [0, 0, 0])
     np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
     np.testing.assert_array_equal(g.degrees, [1, 2, 1])
-    np.testing.assert_array_equal(g.neighbors(1), [0, 2])
 
 
 def test_make_graph_rejects_inconsistent_identity():
@@ -101,6 +98,23 @@ def test_load_bundle_ragged_features(tmp_path):
         load_graph_bundle(root, ood_classes={1})
 
 
+def test_load_bundle_without_nodes(tmp_path):
+    root = tmp_path / "b"
+    write_bundle(root, [], np.zeros((0, 2)), [])
+    with pytest.raises(GraphDataError, match="labels.tsv lists no nodes"):
+        load_graph_bundle(root, ood_classes={1})
+
+
+def test_non_finite_features_are_rejected(tmp_path):
+    root = tmp_path / "b"
+    write_bundle(root, [(0, 1)], np.zeros((3, 2)), [0, 1, 1])
+    (root / "features.csv").write_text("1.0,2.0\n1,nan\ninf,0\n")
+    with pytest.raises(GraphDataError, match="feature row 1 has a non-finite value"):
+        load_graph_bundle(root, ood_classes={1})
+    with pytest.raises(GraphDataError, match="feature row 0 has a non-finite value"):
+        make_graph(2, [(0, 1)], [[-np.inf, 0.0], [1.0, 2.0]], [0, 1], [0, 1])
+
+
 def test_load_bundle_non_numeric_feature(tmp_path):
     root = tmp_path / "b"
     write_bundle(root, [(0, 1)], np.zeros((3, 2)), [0, 1, 1])
@@ -133,27 +147,15 @@ def test_bundle_round_trip_is_exact(tmp_path):
     assert np.array_equal(g.features, g2.features)  # bit-exact via repr round-trip
 
 
-def test_splits_file_round_trip(tmp_path):
-    masks = SplitAssignment(
-        train_mask=np.array([True, False, False, False]),
-        val_mask=np.array([False, True, False, False]),
-        test_mask=np.array([False, False, True, False]),
-    )
-    save_splits(masks, tmp_path / "splits.tsv")
-    back = load_splits(tmp_path / "splits.tsv", 4)
-    np.testing.assert_array_equal(back.train_mask, masks.train_mask)
-    np.testing.assert_array_equal(back.val_mask, masks.val_mask)
-    np.testing.assert_array_equal(back.test_mask, masks.test_mask)
-
-
 # ---------------------------------------------------------------------------
 # homophily
 
 
 def loop_node_homophily(graph, labels):
     vals = []
+    e = graph.edges
     for v in range(graph.num_nodes):
-        nbrs = graph.neighbors(v)
+        nbrs = np.concatenate([e[e[:, 0] == v, 1], e[e[:, 1] == v, 0]])
         if len(nbrs) == 0:
             continue
         vals.append(np.mean(labels[nbrs] == labels[v]))

@@ -7,6 +7,7 @@ on small graphs.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oodgat import engine
 from oodgat.engine import GradTape, Tensor, backward, build_segment_index, grad_check
@@ -20,13 +21,10 @@ from oodgat.layers import (
     gcn_layer,
     graph_index,
     init_params,
-    load_checkpoint,
-    maybe_sparse_features,
     model_forward,
     oodgat_attention,
     oodgat_layer,
     restore_params,
-    save_checkpoint,
 )
 
 
@@ -204,7 +202,8 @@ def test_oodgat_prediction_layer_matches_dense_oracle():
     h = rng.standard_normal((n, d))
     W = Tensor(rng.standard_normal((d, C)), requires_grad=True)
     a = Tensor(rng.standard_normal((C, 1)), requires_grad=True)
-    out = oodgat_layer(Tensor(h), idx, [W], [a], combine="average", activation="elu")
+    hidden, mean_score = oodgat_layer(Tensor(h), idx, [W], [a], combine="average",
+                                      activation="elu")
 
     hw = h @ W.values
     w = 1.0 / (1.0 + np.exp(-(hw @ a.values[:, 0])))
@@ -218,9 +217,9 @@ def test_oodgat_prediction_layer_matches_dense_oracle():
         agg[i] = (alpha[:, None] * hw[nbrs]).sum(axis=0)
     z = np.exp(agg - agg.max(axis=1, keepdims=True))
     want = z / z.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(out.hidden.values, want, atol=1e-9)
-    np.testing.assert_allclose(out.hidden.values.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(out.mean_score.values[:, 0], w, atol=1e-12)
+    np.testing.assert_allclose(hidden.values, want, atol=1e-9)
+    np.testing.assert_allclose(hidden.values.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(mean_score.values[:, 0], w, atol=1e-12)
 
 
 def test_oodgat_isolated_node_is_plain_transform():
@@ -229,10 +228,10 @@ def test_oodgat_isolated_node_is_plain_transform():
     h = rng.standard_normal((1, 4))
     W = Tensor(rng.standard_normal((4, 3)))
     a = Tensor(rng.standard_normal((3, 1)))
-    out = oodgat_layer(Tensor(h), idx, [W], [a], combine="concat", activation="elu")
+    hidden, _ = oodgat_layer(Tensor(h), idx, [W], [a], combine="concat", activation="elu")
     want = h @ W.values
     want = np.where(want > 0, want, np.expm1(want))
-    np.testing.assert_allclose(out.hidden.values, want, atol=1e-12)
+    np.testing.assert_allclose(hidden.values, want, atol=1e-12)
 
 
 def test_oodgat_duplicate_heads_duplicate_output():
@@ -242,12 +241,12 @@ def test_oodgat_duplicate_heads_duplicate_output():
     h = Tensor(rng.standard_normal((7, 4)))
     W = Tensor(rng.standard_normal((4, 3)))
     a = Tensor(rng.standard_normal((3, 1)))
-    single = oodgat_layer(h, idx, [W], [a], combine="concat", activation="elu")
-    double = oodgat_layer(h, idx, [W, W], [a, a], combine="concat", activation="elu")
-    np.testing.assert_allclose(double.hidden.values,
-                               np.hstack([single.hidden.values] * 2), atol=1e-12)
-    np.testing.assert_allclose(double.mean_score.values, single.mean_score.values,
-                               atol=1e-12)
+    single, single_score = oodgat_layer(h, idx, [W], [a], combine="concat",
+                                        activation="elu")
+    double, double_score = oodgat_layer(h, idx, [W, W], [a, a], combine="concat",
+                                        activation="elu")
+    np.testing.assert_allclose(double.values, np.hstack([single.values] * 2), atol=1e-12)
+    np.testing.assert_allclose(double_score.values, single_score.values, atol=1e-12)
 
 
 def test_duplicate_neighbor_entry_counts_twice():
@@ -363,7 +362,7 @@ def test_sparse_features_match_dense_forward():
     params = init_params(cfg, feats.shape[1], np.random.default_rng(6))
     idx = graph_index(g)
     dense = model_forward(cfg, params, feats, idx)
-    sparse = model_forward(cfg, params, maybe_sparse_features(feats, 1.1), idx)
+    sparse = model_forward(cfg, params, sp.csr_matrix(feats), idx)
     np.testing.assert_allclose(dense.probs.values, sparse.probs.values, atol=1e-12)
 
 
@@ -427,28 +426,7 @@ def test_full_model_gradcheck(arch, heads):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    cfg = ModelConfig(architecture="oodgat", num_classes=3, heads=2, hidden_dim=4)
-    params = init_params(cfg, 5, np.random.default_rng(10))
-    meta = {"architecture": "oodgat", "note": "round trip"}
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, params, meta)
-    loaded, got_meta = load_checkpoint(path)
-    assert got_meta == meta
-    assert set(loaded) == set(params)
-    for name in params:
-        np.testing.assert_array_equal(loaded[name].values, params[name].values)
-        assert loaded[name].requires_grad
-
-
-def test_checkpoint_rejects_foreign_npz(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, x=np.ones(3))
-    with pytest.raises(ConfigError, match="not a model checkpoint"):
-        load_checkpoint(path)
+# parameter snapshots
 
 
 def test_clone_restore_params():

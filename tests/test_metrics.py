@@ -11,7 +11,6 @@ import pytest
 
 from oodgat.errors import MetricError
 from oodgat.metrics import (
-    MetricsReport,
     ScoredNodes,
     accuracy,
     aupr,
@@ -20,7 +19,6 @@ from oodgat.metrics import (
     fpr_at_tpr,
     joint_f1,
     ood_scores,
-    pr_points,
     roc_points,
 )
 
@@ -308,14 +306,6 @@ def test_roc_endpoints_and_area():
     assert area == pytest.approx(auroc(s), abs=1e-6)
 
 
-def test_pr_points_consistent_with_aupr():
-    s = scored([0.9, 0.8, 0.4, 0.3, 0.2], [1, 0, 1, 0, 0])
-    pts = pr_points(s)
-    recall = np.concatenate([[0.0], pts[:, 1]])
-    ap = float(((recall[1:] - recall[:-1]) * pts[:, 2]).sum())
-    assert ap == pytest.approx(aupr(s))
-
-
 # ---------------------------------------------------------------------------
 # entropy scores and ScoredNodes plumbing
 
@@ -365,10 +355,3 @@ def test_scored_nodes_validation():
     # non-finite outside the mask is tolerated
     ScoredNodes(scores=np.array([np.inf, 1.0]), identity=np.zeros(2),
                 eval_mask=np.array([False, True]))
-
-
-def test_metrics_report_as_dict():
-    r = MetricsReport(accuracy=0.9, auroc=0.8, aupr=0.7, fpr_at_95=0.2,
-                      joint_f1=0.6, joint_threshold=0.4)
-    d = r.as_dict()
-    assert d["auroc"] == 0.8 and len(d) == 6

@@ -12,14 +12,10 @@ from oodgat.losses import LossBreakdown, LossWeights
 from oodgat import training
 from oodgat.training import (
     AdamState,
-    GridCell,
     TrainConfig,
-    TrainHistory,
-    StepRecord,
     adam_step,
     apply_assignment,
     expand_space,
-    grid_search,
     init_adam,
     train,
     validation_scores,
@@ -274,63 +270,3 @@ def test_apply_assignment_routes_fields():
     assert cfg2.lr == 0.1
     assert cfg2.loss_weights.beta == 3.0
     assert model.heads == 1  # originals untouched
-
-
-def test_grid_single_cell_returned(sbm_case):
-    graph, splits = sbm_case
-    model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
-    cfg = TrainConfig(max_steps=5, seed=0)
-    result = grid_search(model, cfg, graph, splits, {"lr": [0.05]})
-    assert len(result.leaderboard) == 1
-    assert result.best.train.lr == 0.05
-    assert result.best.assignment == (("lr", 0.05),)
-
-
-def test_grid_sane_lr_beats_harmful_lr(sbm_case):
-    graph, splits = sbm_case
-    model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
-    cfg = TrainConfig(max_steps=30, patience=30, weight_decay=0.0, seed=0)
-    result = grid_search(model, cfg, graph, splits, {"lr": [0.05, 1000.0]})
-    assert result.best.train.lr == 0.05
-    assert result.leaderboard[0].score >= result.leaderboard[1].score
-
-
-def test_grid_tie_breaks_lexicographically(sbm_case, monkeypatch):
-    graph, splits = sbm_case
-
-    def constant_train(model, graph, splits, cfg, features=None):
-        record = StepRecord(step=1, losses=LossBreakdown(1, 0, 0, 0, 1, 1),
-                            val_accuracy=0.5, val_auroc=0.5, composite=1.0)
-        return None, TrainHistory(steps=[record], best_step=1, best_checkpoint={})
-
-    monkeypatch.setattr(training, "train", constant_train)
-    model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
-    cfg = TrainConfig(seed=0)
-    result = grid_search(model, cfg, graph, splits, {"lr": [0.1, 0.01]})
-    assert result.best.train.lr == 0.01  # repr "0.01" sorts before "0.1"
-
-
-def test_grid_mean_over_seeds(sbm_case, monkeypatch):
-    graph, splits = sbm_case
-    seen = []
-
-    def fake_train(model, graph, splits, cfg, features=None):
-        seen.append(cfg.seed)
-        record = StepRecord(step=1, losses=LossBreakdown(1, 0, 0, 0, 1, 1),
-                            val_accuracy=float(cfg.seed), val_auroc=0.0,
-                            composite=float(cfg.seed))
-        return None, TrainHistory(steps=[record], best_step=1, best_checkpoint={})
-
-    monkeypatch.setattr(training, "train", fake_train)
-    model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
-    result = grid_search(model, TrainConfig(), graph, splits,
-                         {"lr": [0.01]}, seeds=[2, 4])
-    assert sorted(seen) == [2, 4]
-    assert result.best.score == pytest.approx(3.0)
-
-
-def test_grid_empty_seed_list_rejected(sbm_case):
-    graph, splits = sbm_case
-    model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
-    with pytest.raises(ConfigError, match="seed list"):
-        grid_search(model, TrainConfig(), graph, splits, {"lr": [0.1]}, seeds=[])
