@@ -244,13 +244,6 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def exp(x) -> Tensor:
-    y = np.exp(_values(x))
-    out = Tensor(y)
-    _record(out, (x,), lambda g: (g * y,))
-    return out
-
-
 def log(x) -> Tensor:
     """Natural log with the argument clamped at 1e-12.
 

@@ -89,9 +89,8 @@ def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(values)]])
     ranks = np.empty(len(values))
-    for a, b in zip(starts, ends):
-        # ranks a+1 .. b share the exact average (a + 1 + b) / 2
-        ranks[order[a:b]] = (a + 1 + b) / 2.0
+    # ranks a+1 .. b share the exact average (a + 1 + b) / 2
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 
@@ -149,10 +148,8 @@ def roc_points(s: ScoredNodes) -> np.ndarray:
     thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(s)
     if n_pos == 0 or n_neg == 0:
         raise MetricError("ROC needs both classes in the mask")
-    rows = [(np.inf, 0.0, 0.0)]
-    for th, t, f in zip(thresholds, tp, fp):
-        rows.append((float(th), t / n_pos, f / n_neg))
-    return np.array(rows)
+    return np.vstack([[np.inf, 0.0, 0.0],
+                      np.column_stack([thresholds, tp / n_pos, fp / n_neg])])
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -167,24 +164,6 @@ def accuracy(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred == np.asarray(labels)[mask]).mean())
 
 
-def _weighted_f1(true_cls: np.ndarray, pred_cls: np.ndarray, num_classes: int) -> float:
-    total = len(true_cls)
-    f1_sum = 0.0
-    for c in range(num_classes):
-        support = int((true_cls == c).sum())
-        if support == 0:
-            continue  # zero true support carries zero weight
-        tp = int(((true_cls == c) & (pred_cls == c)).sum())
-        predicted = int((pred_cls == c).sum())
-        if tp == 0:
-            continue
-        precision = tp / predicted
-        recall = tp / support
-        f1 = 2 * precision * recall / (precision + recall)
-        f1_sum += support * f1
-    return f1_sum / total
-
-
 def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray,
              mask: np.ndarray) -> tuple[float, float]:
     """Best weighted-F1 over the (C+1)-way joint task and its threshold.
@@ -193,6 +172,11 @@ def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray,
     is >= theta, otherwise argmax over the C ID classes. True class is C
     for OOD nodes and the ID label otherwise. Candidates are +inf, every
     unique observed score, and -inf; ties in F1 keep the largest theta.
+
+    One stable descending sort gives every candidate as k, the number of
+    leading nodes predicted OOD; per-class counts at each k come from
+    integer prefix sums, and the F1 arithmetic is the per-threshold
+    formula applied to all candidates at once, in the same class order.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -203,11 +187,41 @@ def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray,
     pred_id = np.argmax(probs[mask], axis=1)
     true_cls = np.where(ident, num_id_classes, np.asarray(labels)[mask])
 
-    best_f1, best_theta = -1.0, np.inf
-    candidates = [np.inf] + sorted(set(scores.tolist()), reverse=True) + [-np.inf]
-    for theta in candidates:
-        pred_cls = np.where(scores >= theta, num_id_classes, pred_id)
-        f1 = _weighted_f1(true_cls, pred_cls, num_id_classes + 1)
-        if f1 > best_f1:
-            best_f1, best_theta = f1, theta
-    return float(best_f1), float(best_theta)
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    pred_sorted, true_sorted = pred_id[order], true_cls[order]
+    total = len(scores)
+    starts = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
+    # theta = +inf flags no node, a unique score flags its tie block and
+    # all above it, and -inf flags every node
+    k = np.concatenate([[0], starts, [total, total]])
+    # set() keeps the first of 0.0 and -0.0 it meets, so a tie block's
+    # theta is its first node (the stable sort keeps mask order in a block)
+    block_first = np.concatenate([[0], starts])
+    thetas = np.concatenate([[np.inf], sorted_scores[block_first], [-np.inf]])
+
+    def flagged(hit: np.ndarray) -> np.ndarray:
+        """Count of hits among the first k sorted nodes, per candidate."""
+        return np.concatenate([[0], np.cumsum(hit)])[k]
+
+    f1_sum = np.zeros(len(k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(num_id_classes + 1):
+            support = int((true_cls == c).sum())
+            if support == 0:
+                continue  # zero true support carries zero weight
+            if c == num_id_classes:  # pred_id never names the OOD class
+                tp, predicted = flagged(true_sorted == c), k
+            else:
+                # ID predictions are the nodes after the first k
+                said = pred_sorted == c
+                hit = said & (true_sorted == c)
+                tp = hit.sum() - flagged(hit)
+                predicted = said.sum() - flagged(said)
+            precision = tp / predicted
+            recall = tp / support
+            f1 = 2 * precision * recall / (precision + recall)
+            f1_sum += np.where(tp > 0, support * f1, 0.0)
+    f1_all = f1_sum / total
+    best = int(np.argmax(f1_all))  # first maximum = largest theta
+    return float(f1_all[best]), float(thetas[best])

@@ -9,7 +9,6 @@ import pytest
 
 from oodgat.errors import GraphDataError
 from oodgat.graphs import (
-    EdgePartition,
     SbmSpec,
     SplitAssignment,
     er_generate,

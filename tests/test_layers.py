@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from oodgat import engine
-from oodgat.engine import GradTape, Tensor, backward, build_segment_index, grad_check
+from oodgat.engine import Tensor, build_segment_index, grad_check
 from oodgat.errors import ConfigError
 from oodgat.graphs import make_graph
 from oodgat.layers import (

@@ -108,6 +108,20 @@ def test_auroc_matches_pairwise_oracle_exactly():
         assert auroc(s) == pairwise_auroc(scores.tolist(), identity.tolist())
 
 
+def test_auroc_matches_broadcast_oracle_at_scale():
+    rng = np.random.default_rng(8)
+    for levels in (16, None):
+        m = int(rng.integers(4800, 5200))
+        scores = (rng.integers(0, levels, size=m) / 4.0 if levels
+                  else rng.standard_normal(m))
+        identity = (rng.random(m) < 0.4).astype(int)
+        pos, neg = scores[identity == 1], scores[identity == 0]
+        wins = int((pos[:, None] > neg[None, :]).sum())
+        ties = int((pos[:, None] == neg[None, :]).sum())
+        want = (wins + 0.5 * ties) / (len(pos) * len(neg))
+        assert auroc(scored(scores, identity)) == want
+
+
 def test_auroc_monotone_transform_invariant():
     rng = np.random.default_rng(1)
     scores = rng.standard_normal(50)
@@ -287,6 +301,42 @@ def test_joint_f1_matches_oracle_randomized():
         want = oracle_joint_f1(probs, scores, labels, identity)
         assert got[0] == want[0]
         assert got[1] == want[1]
+
+
+def test_joint_f1_matches_oracle_at_scale():
+    # m ~ 5000 over 16 score levels: tie blocks of ~300 nodes pin the
+    # sorted sweep, and the oracle stays at 18 thresholds
+    rng = np.random.default_rng(7)
+    for C in (2, 4):
+        m = int(rng.integers(4800, 5200))
+        probs = rng.random((m, C))
+        probs /= probs.sum(axis=1, keepdims=True)
+        scores = rng.integers(0, 16, size=m) / 8.0 - 1.0
+        identity = (rng.random(m) < 0.35).astype(int)
+        labels = rng.integers(0, C, size=m)
+        got = joint_f1(probs, scored(scores, identity), labels, np.ones(m, bool))
+        want = oracle_joint_f1(probs, scores, labels, identity)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+
+def test_joint_f1_theta_keeps_the_first_signed_zero():
+    # 0.0 and -0.0 form one tie block; set() keeps the first one seen, so
+    # theta is read at the block's start, while the ROC threshold column
+    # keeps the block's last node
+    probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+    labels = np.array([0, 1, 0, 0])
+    identity = np.array([0, 0, 1, 1])
+    for zeros in ([-0.0, 0.0], [0.0, -0.0]):
+        scores = np.array([-1.0, -2.0] + zeros)
+        s = scored(scores, identity)
+        f1, theta = joint_f1(probs, s, labels, np.ones(4, bool))
+        want_f1, want_theta = oracle_joint_f1(probs, scores, labels, identity)
+        assert (f1, theta) == (want_f1, want_theta) == (1.0, 0.0)
+        assert np.signbit(theta) == np.signbit(want_theta) == np.signbit(zeros[0])
+        pts = roc_points(s)
+        assert pts[1].tolist() == [0.0, 1.0, 0.0]
+        assert np.signbit(pts[1, 0]) == np.signbit(zeros[-1])
 
 
 # ---------------------------------------------------------------------------

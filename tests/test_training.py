@@ -11,7 +11,6 @@ from oodgat.layers import ModelConfig, graph_index, model_forward
 from oodgat.losses import LossBreakdown, LossWeights
 from oodgat import training
 from oodgat.training import (
-    AdamState,
     TrainConfig,
     adam_step,
     apply_assignment,
