@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -237,8 +238,8 @@ def scale(x, c: float) -> Tensor:
 def sigmoid(x) -> Tensor:
     v = _values(x)
     # stable logistic: never exponentiates a large positive argument
-    y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    z = np.exp(-np.abs(v))
+    y = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
     out = Tensor(y)
     _record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -289,9 +290,10 @@ def leaky_relu(x, slope: float = 0.2) -> Tensor:
 
 def elu(x) -> Tensor:
     v = _values(x)
+    # neg is 0 wherever v > 0, so the maximum and neg + 1 need no np.where
     neg = np.expm1(np.minimum(v, 0.0))
-    out = Tensor(np.where(v > 0, v, neg))
-    _record(out, (x,), lambda g: (g * np.where(v > 0, 1.0, neg + 1.0),))
+    out = Tensor(np.maximum(v, neg))
+    _record(out, (x,), lambda g: (g * (neg + 1.0),))
     return out
 
 
@@ -323,7 +325,7 @@ def gather_rows(x, idx: Array) -> Tensor:
     """Select rows x[idx]; backward scatter-adds into the source rows."""
     v = _values(x)
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(v[idx])
+    out = Tensor(np.take(v, idx, axis=0))
 
     def bwd(g):  # bincount adds in input order, as a sequential scatter-add would
         flat = (idx[:, None] * v.shape[1] + np.arange(v.shape[1])).ravel()
@@ -466,6 +468,10 @@ class SegmentIndex:
     Entry k is a message from `sources[k]` into `targets[k]`. Rows for a
     node's own self entry are always present, so every group is non-empty.
     `offsets` has num_nodes+1 entries; group i spans offsets[i]:offsets[i+1].
+
+    The sparse matrices derived from the index are built on first use and
+    kept with it. `spmm` writes its weights into the shared `data` buffer
+    of `head_blocks`, so one index must not run spmm in two threads at once.
     """
 
     targets: Array
@@ -473,6 +479,7 @@ class SegmentIndex:
     offsets: Array
     num_nodes: int
     self_pos: Array = field(default=None, repr=False)  # entry index of each node's self edge
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=np.int64)
@@ -492,10 +499,40 @@ class SegmentIndex:
     def num_entries(self) -> int:
         return len(self.targets)
 
-    def csr(self, data: Array) -> sp.csr_matrix:
-        """The (num_nodes, num_nodes) matrix with data[k] at (targets[k], sources[k])."""
-        return sp.csr_matrix((data, self.sources, self.offsets),
+    @cached_property
+    def normalized(self) -> sp.csr_matrix:
+        """D^-1/2 A D^-1/2 with A[t, s] counting entries and D the entries
+        per group (self entries included): the GCN propagation matrix."""
+        deg = np.diff(self.offsets).astype(np.float64)
+        coef = 1.0 / np.sqrt(deg[self.targets] * deg[self.sources])
+        return sp.csr_matrix((coef, self.sources, self.offsets),
                              shape=(self.num_nodes, self.num_nodes))
+
+    def head_blocks(self, heads: int) -> tuple[sp.csr_matrix, sp.csc_matrix, Array]:
+        """(A, A^T, take): the sparsity pattern of K = `heads` attention heads.
+
+        A is (n*K, n*K). Row t*K + k holds head k's entries of group t, in
+        entry order, at columns s*K + k, so for h of shape (n, K*d)
+        `A @ h.reshape(n*K, d)` applies head k to column block k. A.data is
+        filled as `weights.ravel()[take]` for (E, K) weights; A^T is a CSC
+        view over the same `data`. The pattern follows from `offsets` by
+        arithmetic alone and is built once per K.
+        """
+        cached = self._blocks.get(heads)
+        if cached is not None:
+            return cached
+        n, K = self.num_nodes, heads
+        deg = np.diff(self.offsets)
+        row_len = np.repeat(deg, K)                     # row t*K + k has deg[t] entries
+        indptr = np.concatenate([[0], np.cumsum(row_len)])
+        row_shift = np.repeat(np.repeat(self.offsets[:-1], K) - indptr[:-1], row_len)
+        entry = np.arange(K * self.num_entries) + row_shift
+        head = np.repeat(np.tile(np.arange(K), n), row_len)
+        take = entry * K + head
+        A = sp.csr_matrix((np.zeros(len(take)), self.sources[entry] * K + head, indptr),
+                          shape=(n * K, n * K))
+        cached = self._blocks[heads] = (A, A.T, take)
+        return cached
 
 
 def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
@@ -521,44 +558,81 @@ def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
 
 
 def segment_softmax(logits, index: SegmentIndex) -> Tensor:
-    """Softmax within each target group of a column vector of logits."""
+    """Softmax within each target group, separately for each of the K
+    columns of (num_entries, K) logits."""
     v = _values(logits)
-    if v.shape != (index.num_entries, 1):
-        raise EngineError(f"segment_softmax expects shape ({index.num_entries}, 1), got {v.shape}")
+    if v.ndim != 2 or v.shape[0] != index.num_entries:
+        raise EngineError(f"segment_softmax expects {index.num_entries} rows, got {v.shape}")
     starts = index.offsets[:-1]
-    col = v[:, 0]
-    gmax = np.maximum.reduceat(col, starts)
-    z = np.exp(col - gmax[index.targets])
-    denom = np.add.reduceat(z, starts)
-    y = z / denom[index.targets]
-    out = Tensor(y[:, None])
+    # np.take along axis 0 gathers rows far faster than fancy indexing
+    gmax = np.maximum.reduceat(v, starts, axis=0)
+    z = np.exp(v - np.take(gmax, index.targets, axis=0))
+    y = z / np.take(np.add.reduceat(z, starts, axis=0), index.targets, axis=0)
+    out = Tensor(y)
 
     def bwd(g):
-        g0 = g[:, 0]
-        inner = np.add.reduceat(g0 * y, starts)
-        return ((y * (g0 - inner[index.targets]))[:, None],)
+        inner = np.add.reduceat(g * y, starts, axis=0)
+        return (y * (g - np.take(inner, index.targets, axis=0)),)
 
     _record(out, (logits,), bwd)
     return out
 
 
-def spmm(weights, h, index: SegmentIndex) -> Tensor:
-    """A @ h for the index's CSR matrix A with data weights[:, 0].
-
-    weights: (num_entries, 1), h: (num_nodes, d) -> (num_nodes, d). The
-    backward is A^T @ g for h and, per entry, g[target] . h[source] (an
-    SDDMM) for the weights.
-    """
-    wv, hv = _values(weights), _values(h)
-    if wv.shape != (index.num_entries, 1) or hv.shape[0] != index.num_nodes:
-        raise EngineError(f"spmm operands {wv.shape} and {hv.shape} do not match the index")
-    A = index.csr(wv[:, 0])
-    out = Tensor(A @ hv)
+def head_project(x, a) -> Tensor:
+    """Per-head projection: (n, K*d) x (d, K) -> (n, K), column k = x_k @ a[:, k]
+    with x_k the k-th block of d columns."""
+    xv, av = _values(x), _values(a)
+    d, K = av.shape
+    if xv.shape[1] != K * d:
+        raise EngineError(f"head_project needs {K} blocks of width {d}, got {xv.shape}")
+    x3 = xv.reshape(len(xv), K, d)
+    out = Tensor(np.einsum("nkd,dk->nk", x3, av))
 
     def bwd(g):
-        gw = (np.einsum("kj,kj->k", g[index.targets], hv[index.sources])[:, None]
-              if _needs_grad(weights) else None)
-        gh = A.T @ g if _needs_grad(h) else None
+        gx = (g[:, :, None] * av.T).reshape(xv.shape) if _needs_grad(x) else None
+        ga = np.einsum("nkd,nk->dk", x3, g) if _needs_grad(a) else None
+        return (gx, ga)
+
+    _record(out, (x, a), bwd)
+    return out
+
+
+def spmm(weights, h, index: SegmentIndex) -> Tensor:
+    """Per head k, A_k @ h_k, where A_k is the index's matrix with data
+    weights[:, k] and h_k is the k-th of K column blocks of h.
+
+    weights: (num_entries, K), h: (num_nodes, K*d) -> (num_nodes, K*d).
+    All heads run as one CSR product over (node, head) rows (see
+    `SegmentIndex.head_blocks`). The backward is A_k^T @ g_k for h and,
+    per entry and head, g_k[target] . h_k[source] (an SDDMM) for the
+    weights. Forward and backward each write their own weights into the
+    shared pattern right before its product, so products that share an
+    index never see each other's weights.
+    """
+    wv, hv = _values(weights), _values(h)
+    n, E = index.num_nodes, index.num_entries
+    if wv.shape[0] != E or hv.shape[0] != n or hv.shape[1] % wv.shape[1]:
+        raise EngineError(f"spmm operands {wv.shape} and {hv.shape} do not match the index")
+    K = wv.shape[1]
+    d = hv.shape[1] // K
+    A, AT, take = index.head_blocks(K)
+    flat_w = wv.ravel()
+    np.take(flat_w, take, out=A.data)
+    out = Tensor((A @ hv.reshape(n * K, d)).reshape(n, K * d))
+
+    def bwd(g):
+        gw = gh = None
+        if _needs_grad(weights):
+            # per head block: gathering all E*K rows at once holds two
+            # (E, K*d) copies and raised the peak memory
+            gw = np.empty((E, K))
+            for k in range(K):
+                cols = slice(k * d, (k + 1) * d)
+                gw[:, k] = np.einsum("ej,ej->e", np.take(g[:, cols], index.targets, axis=0),
+                                     np.take(hv[:, cols], index.sources, axis=0))
+        if _needs_grad(h):
+            np.take(flat_w, take, out=A.data)
+            gh = (AT @ g.reshape(n * K, d)).reshape(n, K * d)
         return (gw, gh)
 
     _record(out, (weights, h), bwd)

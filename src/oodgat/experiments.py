@@ -14,9 +14,12 @@ import configparser
 import csv
 import io
 import json
+import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .graphs import (
     save_graph_bundle,
     sbm_generate,
 )
-from .layers import ModelConfig, graph_index, init_params, maybe_sparse_features, model_forward
+from .layers import ModelConfig, graph_index, init_params, model_forward
 from .losses import LossWeights, compute_objective
 from .training import TrainConfig, expand_space, apply_assignment, train
 
@@ -362,7 +365,7 @@ class RunOutcome:
 def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
     """Test-split metrics for one trained model, plus optional ROC points."""
     out = model_forward(trained.config, trained.params,
-                        maybe_sparse_features(graph.features), graph_index(graph))
+                        graph.model_features, graph_index(graph))
     test = splits.test_mask
     vals: dict = {"accuracy": metrics.accuracy(out.probs.values, graph.labels,
                                                test & (graph.identity == 0))}
@@ -498,6 +501,29 @@ def report_text_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Write a UTF-8 text file whole or not at all.
+
+    The lines go to a temp file in the same directory, which then
+    replaces `path` in one rename. If producing or writing a line raises,
+    `path` keeps its previous content and the temp file is removed. As
+    with an in-place write, a symlink at `path` is followed (the file it
+    names is replaced) and a file already there keeps its permission bits.
+    """
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        try:
+            shutil.copymode(path, tmp)
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def export_report(report: RunReport, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,9 +532,21 @@ def export_report(report: RunReport, out_dir) -> list[Path]:
                          ("report.csv", report_to_csv),
                          ("report.txt", report_text_table)):
         target = out / name
-        target.write_text(render(report), encoding="utf-8", newline="\n")
+        _write_atomic(target, [render(report)])
         written.append(target)
     return written
+
+
+def _history_lines(rows: list):
+    yield ",".join(HISTORY_COLUMNS) + "\n"
+    for row in rows:
+        yield ",".join([str(row[0])] + [_fmt(x) for x in row[1:]]) + "\n"
+
+
+def _curve_lines(points):
+    yield "threshold,tpr,fpr\n"
+    for th, tpr, fpr in points:
+        yield f"{_fmt(th)},{_fmt(tpr)},{_fmt(fpr)}\n"
 
 
 def _write_run_files(outcomes: list[RunOutcome], out_dir) -> None:
@@ -516,22 +554,15 @@ def _write_run_files(outcomes: list[RunOutcome], out_dir) -> None:
     hist_dir = out / "history"
     hist_dir.mkdir(parents=True, exist_ok=True)
     for o in outcomes:
-        with open(hist_dir / f"{o.record.run_id}.csv", "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(HISTORY_COLUMNS) + "\n")
-            for row in o.history_rows:
-                fh.write(",".join([str(row[0])] + [_fmt(x) for x in row[1:]]) + "\n")
+        _write_atomic(hist_dir / f"{o.record.run_id}.csv", _history_lines(o.history_rows))
     if any(o.curves for o in outcomes):
         curve_dir = out / "curves"
         curve_dir.mkdir(parents=True, exist_ok=True)
         for o in outcomes:
             for tag, points in o.curves.items():
                 suffix = "roc" if tag == "ent" else f"{tag}-roc"
-                with open(curve_dir / f"{o.record.run_id}-{suffix}.csv", "w",
-                          encoding="utf-8", newline="\n") as fh:
-                    fh.write("threshold,tpr,fpr\n")
-                    for th, tpr, fpr in points:
-                        fh.write(f"{_fmt(th)},{_fmt(tpr)},{_fmt(fpr)}\n")
+                _write_atomic(curve_dir / f"{o.record.run_id}-{suffix}.csv",
+                              _curve_lines(points))
 
 
 def _assemble(spec: ExperimentSpec, seed_base: int, outcomes: list[RunOutcome],
@@ -659,8 +690,7 @@ def run_gen_sbm(spec: ExperimentSpec, out_dir) -> dict:
             "classes": sbm.classes, "ood_classes": sorted(sbm.ood_classes),
             "node_homophily": node_homophily(graph, graph.labels),
             "identity_homophily": identity_homophily(graph, mapping)}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n",
-                                   encoding="utf-8", newline="\n")
+    _write_atomic(out / "meta.json", [json.dumps(meta, sort_keys=True) + "\n"])
     return meta
 
 
@@ -680,8 +710,9 @@ def _random_segment_graph(rng: np.random.Generator, n: int):
 def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     """One gradient check per differentiable operation, then the full
     oodgat, gcn and gat objectives on a 12-node random graph, the oodgat
-    objective once more in training mode (dropout and drop-edge), and the
-    full mlp objective last, so it leaves the earlier draws unchanged."""
+    objective once more in training mode (dropout and drop-edge), the
+    full mlp objective, and last the multi-head (K-column) forms of the
+    attention ops; each later check leaves the earlier draws unchanged."""
     rng = np.random.default_rng(seed)
 
     def t(shape, low=-2.0, high=2.0):
@@ -765,8 +796,9 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     cfg = ModelConfig(architecture="oodgat", num_classes=3, heads=2, hidden_dim=5)
     params = init_params(cfg, 6, rng)
     for name, tensor in params.items():
-        if name.endswith(".a"):
-            tensor.values = rng.uniform(0.05, 0.3, tensor.shape)
+        if name.endswith(".a"):  # one (rows, 1) draw per head, in head order
+            tensor.values = np.hstack([rng.uniform(0.05, 0.3, (tensor.shape[0], 1))
+                                       for _ in range(cfg.heads)])
     mask = np.zeros(n, bool)
     mask[:6] = True
     weights = LossWeights(beta=2.0, gamma=0.05, zeta=0.005, epsilon=0.2)
@@ -790,6 +822,23 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     mlp_params = init_params(mlp_cfg, 6, rng)
     check("full_mlp_objective", objective(mlp_cfg, mlp_params, LossWeights()),
           mlp_params, 1e-4)
+
+    # the multi-head forms: K = 3 heads of width 2 on the 6-node index
+    heads = 3
+    hh = t((seg.num_nodes, 2 * heads))
+    proj = t((2, heads))
+    node_vals = t((seg.num_nodes, heads))
+    head_logits = t((seg.num_entries, heads))
+    head_mixer = np.linspace(-1.0, 1.0, hh.values.size).reshape(hh.shape)
+    check("head_project", lambda: engine.reduce_sum(engine.mul(
+        engine.head_project(hh, proj), node_vals)), {"hh": hh, "proj": proj}, 1e-6)
+    check("segment_softmax_heads", lambda: engine.reduce_sum(engine.mul(
+        engine.segment_softmax(head_logits, seg),
+        np.arange(head_logits.values.size, dtype=float).reshape(head_logits.shape))),
+        {"head_logits": head_logits}, 1e-6)
+    check("spmm_heads", lambda: engine.reduce_sum(engine.mul(
+        engine.spmm(engine.sigmoid(head_logits), hh, seg), head_mixer)),
+        {"head_logits": head_logits, "hh": hh}, 1e-6)
     return checks
 
 

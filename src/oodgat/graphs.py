@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from .engine import SegmentIndex, build_segment_index
 from .errors import GraphDataError
 
 log = logging.getLogger(__name__)
@@ -54,6 +57,23 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
+
+    # Built on first use and kept with the graph, so training and
+    # evaluation on one graph share them.
+
+    @cached_property
+    def index(self) -> SegmentIndex:
+        """Message-passing index: both edge directions plus self entries."""
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        return build_segment_index(src, dst, self.num_nodes)
+
+    @cached_property
+    def model_features(self):
+        """The features as the models read them: a CSR copy when under a
+        quarter of them are nonzero, else the dense array itself."""
+        density = np.count_nonzero(self.features) / max(self.features.size, 1)
+        return sp.csr_matrix(self.features) if density < 0.25 else self.features
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,22 @@ e_ij = 1 - |w(i) - w(j)|, normalized per neighborhood. Self entries get
 e = 1 automatically. All architectures are two-layer; the prediction
 layer averages heads and applies a row softmax, so model outputs are
 probability rows.
+
+GAT and the OOD-aware network share one multi-head `attention_layer`.
+Its K heads live side by side in single tensors: W is (in, K*width),
+head k owning column block k, and the attention vectors are the K
+columns of `a` (width, K) or `attn` (2*width, K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import engine
-from .engine import SegmentIndex, Tensor, build_segment_index
+from .engine import SegmentIndex, Tensor
 from .errors import ConfigError
 from .graphs import Graph
 
@@ -81,38 +85,34 @@ def _activation(name: str):
 # parameter construction
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
 def init_params(config: ModelConfig, in_dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
     """Create the named parameter set for a two-layer model.
 
-    Weight matrices are Glorot-uniform. OOD score vectors start at zero,
-    which puts every initial score at 0.5 and every edge attention at the
-    uniform value.
+    Weight matrices are Glorot-uniform, per head for the attention models:
+    head k's draws are made in head order (gat: W, then attn) and become
+    column block k. OOD score vectors start at zero, which puts every
+    initial score at 0.5 and every edge attention at the uniform value.
     """
     width, heads, C = config.width, config.heads, config.num_classes
-    params: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     if config.architecture in ("mlp", "gcn"):
-        params["l1.W"] = _glorot(rng, in_dim, width)
-        params["l2.W"] = _glorot(rng, width, C)
+        arrays["l1.W"] = _glorot(rng, in_dim, width)
+        arrays["l2.W"] = _glorot(rng, width, C)
     elif config.architecture == "gat":
-        for k in range(heads):
-            params[f"l1.h{k}.W"] = _glorot(rng, in_dim, width)
-            params[f"l1.h{k}.attn"] = _glorot(rng, 2 * width, 1)
-        for k in range(heads):
-            params[f"l2.h{k}.W"] = _glorot(rng, heads * width, C)
-            params[f"l2.h{k}.attn"] = _glorot(rng, 2 * C, 1)
+        for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
+            draws = [(_glorot(rng, rows, cols), _glorot(rng, 2 * cols, 1)) for _ in range(heads)]
+            arrays[f"{layer}.W"] = np.hstack([W for W, _ in draws])
+            arrays[f"{layer}.attn"] = np.hstack([attn for _, attn in draws])
     else:  # oodgat
-        for k in range(heads):
-            params[f"l1.h{k}.W"] = _glorot(rng, in_dim, width)
-            params[f"l1.h{k}.a"] = Tensor(np.zeros((width, 1)), requires_grad=True)
-        for k in range(heads):
-            params[f"l2.h{k}.W"] = _glorot(rng, heads * width, C)
-            params[f"l2.h{k}.a"] = Tensor(np.zeros((C, 1)), requires_grad=True)
-    return params
+        for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
+            arrays[f"{layer}.W"] = np.hstack([_glorot(rng, rows, cols) for _ in range(heads)])
+            arrays[f"{layer}.a"] = np.zeros((cols, heads))
+    return {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +120,9 @@ def init_params(config: ModelConfig, in_dim: int, rng: np.random.Generator) -> d
 
 
 def graph_index(graph: Graph) -> SegmentIndex:
-    """Message-passing index for a graph: both edge directions plus self entries."""
-    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    return build_segment_index(src, dst, graph.num_nodes)
+    """Message-passing index for a graph: both edge directions plus self
+    entries (`Graph.index`, built on first use)."""
+    return graph.index
 
 
 def drop_edge(index: SegmentIndex, p: float, rng: np.random.Generator) -> SegmentIndex:
@@ -155,7 +154,7 @@ def _input_dropout(x, p: float, rng: np.random.Generator):
 
 
 def oodgat_attention(scores: Tensor, index: SegmentIndex) -> Tensor:
-    """Edge attention from node scores: softmax over e = 1 - |w_t - w_s|.
+    """Edge attention from node scores (n, K): softmax over e = 1 - |w_t - w_s|.
 
     Self entries compare a node with itself, so their raw e is exactly 1,
     the group maximum for scores inside [0, 1].
@@ -166,55 +165,53 @@ def oodgat_attention(scores: Tensor, index: SegmentIndex) -> Tensor:
     return engine.segment_softmax(e, index)
 
 
-def oodgat_layer(h, index: SegmentIndex, weights: list[Tensor], score_vecs: list[Tensor],
-                 combine: str, activation: str) -> tuple[Tensor, Tensor]:
-    """One OOD-aware attention layer over all heads: (hidden, mean score).
+def oodgat_edge_attention(hw: Tensor, a: Tensor, index: SegmentIndex) -> tuple[Tensor, Tensor]:
+    """Attention from score agreement, and the node scores w = sigmoid(a_k^T hw_k)."""
+    scores = engine.sigmoid(engine.head_project(hw, a))
+    return oodgat_attention(scores, index), scores
 
-    combine "concat" stacks head outputs and applies the activation
-    (hidden layer); combine "average" averages heads and applies a row
-    softmax (prediction layer). The mean score (n, 1) is the head average
-    of the node scores.
+
+def gat_edge_attention(hw: Tensor, attn: Tensor, index: SegmentIndex) -> tuple[Tensor, None]:
+    """Softmax over e_ij = LeakyReLU_0.2(attn_k^T [hw_k(i) || hw_k(j)]), whose
+    target half and source half are each a per-node projection."""
+    d = attn.shape[0] // 2
+    s_t = engine.head_project(hw, engine.slice_rows(attn, 0, d))
+    s_s = engine.head_project(hw, engine.slice_rows(attn, d, 2 * d))
+    e = engine.leaky_relu(engine.add(engine.gather_rows(s_t, index.targets),
+                                     engine.gather_rows(s_s, index.sources)))
+    return engine.segment_softmax(e, index), None
+
+
+def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attention,
+                    combine: str, activation: str) -> tuple[Tensor, Tensor | None]:
+    """One multi-head attention layer, all K = attn.shape[1] heads at once:
+    (hidden, mean score).
+
+    `edge_attention(hw, attn, index)` gives the (E, K) edge attention and
+    the (n, K) node scores or None: `gat_edge_attention` or
+    `oodgat_edge_attention`. combine "concat" keeps the heads side by side
+    and applies the activation (hidden layer); combine "average" averages
+    heads and applies a row softmax (prediction layer). The mean score
+    (n, 1) is the head average of the node scores, None for gat.
     """
     if combine not in ("concat", "average"):
         raise ConfigError(f"unknown combine mode {combine!r}")
-    act = _activation(activation)
-    head_scores, aggregated = [], []
-    for W, a in zip(weights, score_vecs):
-        hw = engine.matmul(h, W)
-        w = engine.sigmoid(engine.matmul(hw, a))
-        aggregated.append(engine.spmm(oodgat_attention(w, index), hw, index))
-        head_scores.append(w)
-    mean_score = engine.scale(reduce(engine.add, head_scores), 1.0 / len(head_scores))
+    heads = attn.shape[1]
+    hw = engine.matmul(h, W)
+    alpha, scores = edge_attention(hw, attn, index)
+    out = engine.spmm(alpha, hw, index)
+    mean_score = (None if scores is None
+                  else engine.matmul(scores, np.full((heads, 1), 1.0 / heads)))
     if combine == "concat":
-        hidden = act(engine.hstack(aggregated)) if len(aggregated) > 1 else act(aggregated[0])
-    else:
-        avg = engine.scale(reduce(engine.add, aggregated), 1.0 / len(aggregated))
-        hidden = engine.row_softmax(avg)
-    return hidden, mean_score
+        return _activation(activation)(out), mean_score
+    width = out.shape[1] // heads
+    head_mean = np.tile(np.eye(width), (heads, 1)) / heads
+    return engine.row_softmax(engine.matmul(out, head_mean)), mean_score
 
 
 def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
     """D^-1/2 A D^-1/2 (h W), degrees counting self entries; no activation."""
-    deg = np.diff(index.offsets).astype(np.float64)
-    a_hat = index.csr(1.0 / np.sqrt(deg[index.targets] * deg[index.sources]))
-    return engine.matmul(a_hat, engine.matmul(h, W))
-
-
-def gat_layer(h, index: SegmentIndex, W: Tensor, attn_vec: Tensor) -> Tensor:
-    """Single-head attention: e_ij = LeakyReLU_0.2(attn^T [Wh_i || Wh_j]).
-
-    The concatenated form splits into a target half and a source half, so
-    per-entry logits are a sum of two per-node projections.
-    """
-    hw = engine.matmul(h, W)
-    d = hw.shape[1]
-    left = engine.slice_rows(attn_vec, 0, d)
-    right = engine.slice_rows(attn_vec, d, 2 * d)
-    s_t = engine.matmul(hw, left)
-    s_s = engine.matmul(hw, right)
-    logits = engine.leaky_relu(engine.add(engine.gather_rows(s_t, index.targets),
-                                          engine.gather_rows(s_s, index.sources)))
-    return engine.spmm(engine.segment_softmax(logits, index), hw, index)
+    return engine.matmul(index.normalized, engine.matmul(h, W))
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +254,17 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         return ModelOutputs(probs=probs)
 
     if arch == "gat":
-        heads = [gat_layer(x, idx1, params[f"l1.h{k}.W"], params[f"l1.h{k}.attn"])
-                 for k in range(config.heads)]
-        hidden = act(engine.hstack(heads)) if len(heads) > 1 else act(heads[0])
-        if training and config.dropout_p > 0:
-            hidden = engine.dropout(hidden, config.dropout_p, rng)
-        idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
-        outs = [gat_layer(hidden, idx2, params[f"l2.h{k}.W"], params[f"l2.h{k}.attn"])
-                for k in range(config.heads)]
-        avg = engine.scale(reduce(engine.add, outs), 1.0 / len(outs))
-        probs = engine.row_softmax(avg)
-        return ModelOutputs(probs=probs)
-
-    # oodgat
-    hidden, w1 = oodgat_layer(
-        x, idx1,
-        weights=[params[f"l1.h{k}.W"] for k in range(config.heads)],
-        score_vecs=[params[f"l1.h{k}.a"] for k in range(config.heads)],
-        combine="concat", activation=config.activation)
+        edge_attention, l1_attn, l2_attn = gat_edge_attention, params["l1.attn"], params["l2.attn"]
+    else:
+        edge_attention, l1_attn, l2_attn = oodgat_edge_attention, params["l1.a"], params["l2.a"]
+    hidden, w1 = attention_layer(x, idx1, params["l1.W"], l1_attn, edge_attention,
+                                 "concat", config.activation)
     if training and config.dropout_p > 0:
         hidden = engine.dropout(hidden, config.dropout_p, rng)
     idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
-    probs, w2 = oodgat_layer(
-        hidden, idx2,
-        weights=[params[f"l2.h{k}.W"] for k in range(config.heads)],
-        score_vecs=[params[f"l2.h{k}.a"] for k in range(config.heads)],
-        combine="average", activation=config.activation)
+    probs, w2 = attention_layer(hidden, idx2, params["l2.W"], l2_attn, edge_attention,
+                                "average", config.activation)
     return ModelOutputs(probs=probs, w1=w1, w2=w2)
-
-
-def maybe_sparse_features(features: np.ndarray):
-    """Return a CSR copy when under a quarter of the features are nonzero."""
-    density = np.count_nonzero(features) / max(features.size, 1)
-    if density < 0.25:
-        return sp.csr_matrix(features)
-    return features
 
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

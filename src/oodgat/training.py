@@ -25,7 +25,6 @@ from .layers import (
     clone_params,
     graph_index,
     init_params,
-    maybe_sparse_features,
     model_forward,
     restore_params,
 )
@@ -171,7 +170,7 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
     """
     config = replace(model_config, dropout_p=cfg.dropout_p,
                      drop_edge_p=cfg.drop_edge_p)
-    features = maybe_sparse_features(graph.features)
+    features = graph.model_features
     index = graph_index(graph)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(config, graph.num_features, rng)

@@ -3,7 +3,9 @@
 Expected gradients here come from two independent sources: hand-derived
 closed forms frozen as literals, and central finite differences via
 grad_check. Segment ops are additionally checked against plain-loop
-reference implementations, and spmm against a dense matrix product.
+reference implementations, spmm against a dense matrix product (per
+head when it runs several heads), and the multi-head spmm against
+single-head products bit for bit.
 """
 
 import gc
@@ -357,6 +359,93 @@ def test_spmm_backward_matches_dense_product():
     np.testing.assert_allclose(grads[wts][:, 0], dA[idx.targets, idx.sources], atol=1e-12)
 
 
+def dense_head_matrices(weights, index):
+    return [dense_matrix(weights[:, k:k + 1], index) for k in range(weights.shape[1])]
+
+
+def test_spmm_heads_sharing_an_index_keep_their_own_weights():
+    # two products on one index (and two on one drop-edge index) are
+    # recorded before a single backward; each must see its own weights
+    # in the forward and again in the backward
+    from oodgat.layers import drop_edge
+
+    rng = np.random.default_rng(14)
+    n, K, d = 9, 2, 3
+    full = build_segment_index(rng.integers(0, n, 30), rng.integers(0, n, 30), n)
+    dropped = drop_edge(full, 0.5, np.random.default_rng(3))
+    products = []
+    for idx in (full, full, dropped, dropped):
+        products.append((idx, leaf(rng.standard_normal((idx.num_entries, K))),
+                         leaf(rng.standard_normal((n, K * d))), rng.standard_normal((n, K * d))))
+    with GradTape():
+        outs = [spmm(w, h, idx) for idx, w, h, _ in products]
+        loss = reduce_sum(mul(outs[0], products[0][3]))
+        for out, (_, _, _, g) in zip(outs[1:], products[1:]):
+            loss = add(loss, reduce_sum(mul(out, g)))
+        grads = backward(loss)
+    for out, (idx, w, h, g) in zip(outs, products):
+        for k, A in enumerate(dense_head_matrices(w.values, idx)):
+            cols = slice(k * d, (k + 1) * d)
+            np.testing.assert_allclose(out.values[:, cols], A @ h.values[:, cols], atol=1e-12)
+            np.testing.assert_allclose(grads[h][:, cols], A.T @ g[:, cols], atol=1e-12)
+            dA = g[:, cols] @ h.values[:, cols].T
+            np.testing.assert_allclose(grads[w][:, k], dA[idx.targets, idx.sources],
+                                       atol=1e-12)
+
+
+def test_spmm_heads_equal_single_head_products_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for trial in range(30):
+        n = int(rng.integers(1, 15))
+        m = int(rng.integers(0, 4 * n))
+        idx = build_segment_index(rng.integers(0, n, m), rng.integers(0, n, m), n)
+        K, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        w = leaf(rng.standard_normal((idx.num_entries, K)))
+        h = leaf(rng.standard_normal((n, K * d)))
+        g = rng.standard_normal((n, K * d))
+        with GradTape():
+            out = spmm(w, h, idx)
+            grads = backward(reduce_sum(mul(out, g)))
+        for k in range(K):
+            cols = slice(k * d, (k + 1) * d)
+            wk, hk = leaf(w.values[:, k:k + 1].copy()), leaf(h.values[:, cols].copy())
+            with GradTape():
+                out_k = spmm(wk, hk, idx)
+                grads_k = backward(reduce_sum(mul(out_k, g[:, cols].copy())))
+            assert np.array_equal(out.values[:, cols], out_k.values)
+            assert np.array_equal(grads[w][:, k], grads_k[wk][:, 0])
+            assert np.array_equal(grads[h][:, cols], grads_k[hk])
+
+
+def test_head_blocks_are_built_once_and_share_data():
+    idx = small_index()
+    A, AT, take = idx.head_blocks(3)
+    assert idx.head_blocks(3)[0] is A
+    assert np.shares_memory(A.data, AT.data)
+    assert A.shape == (9, 9) and len(take) == 3 * idx.num_entries
+
+
+def test_segment_softmax_columns_are_independent():
+    rng = np.random.default_rng(16)
+    idx = build_segment_index(rng.integers(0, 7, 20), rng.integers(0, 7, 20), 7)
+    logits = rng.standard_normal((idx.num_entries, 3)) * 4
+    got = engine.segment_softmax(Tensor(logits), idx).values
+    for k in range(3):
+        np.testing.assert_allclose(got[:, k], loop_segment_softmax(logits[:, k], idx),
+                                   atol=1e-12)
+
+
+def test_head_project_matches_loop():
+    rng = np.random.default_rng(17)
+    h = rng.standard_normal((6, 3 * 4))
+    a = rng.standard_normal((4, 3))
+    proj = engine.head_project(Tensor(h), Tensor(a)).values
+    for k in range(3):
+        np.testing.assert_allclose(proj[:, k], h[:, 4 * k:4 * (k + 1)] @ a[:, k], atol=1e-12)
+    with pytest.raises(EngineError, match="head_project"):
+        engine.head_project(Tensor(h), Tensor(np.ones((5, 3))))
+
+
 def test_spmm_rejects_mismatched_operands():
     idx = small_index()
     with pytest.raises(EngineError, match="spmm"):
@@ -489,6 +578,40 @@ def test_gradcheck_smooth_pointwise_ops():
     check(lambda: reduce_sum(row_sum(mul(x, y))), params)
     check(lambda: reduce_sum(row_softmax(x)), params)
     check(lambda: reduce_sum(mul(row_softmax(x), y)), params)
+
+
+def pointwise_grid():
+    """Signed zeros, infinities, NaN, subnormals, tiny negatives, values
+    around the exp overflow and underflow limits, and a wide random spread."""
+    rng = np.random.default_rng(47)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                        -1e-310, 1e-300, -1e-300, -1e-17, 1e-17, -745.2, -800.0,
+                        709.8, 710.0, -36.8, 36.8])
+    spread = rng.standard_normal(20000) * np.logspace(-320, 3, 20000)
+    return np.concatenate([special, spread, -rng.random(5000) * 1e-8]).reshape(-1, 1)
+
+
+def assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_elu_and_sigmoid_match_the_where_reference_bit_for_bit():
+    v = pointwise_grid()
+    g = np.random.default_rng(48).standard_normal(v.shape)
+    neg = np.expm1(np.minimum(v, 0.0))
+    sig = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    for op, want, want_grad in ((elu, np.where(v > 0, v, neg),
+                                 g * np.where(v > 0, 1.0, neg + 1.0)),
+                                (sigmoid, sig, g * sig * (1.0 - sig))):
+        x = leaf(v.copy())
+        with GradTape():
+            out = op(x)
+            grads = backward(reduce_sum(mul(out, g)))
+        assert_same_bits(out.values, want)
+        assert_same_bits(grads[x], want_grad)
 
 
 def test_gradcheck_piecewise_ops_away_from_kinks():

@@ -247,6 +247,45 @@ def test_export_report_writes_all_formats(tmp_path):
         assert p.stat().st_size > 0
 
 
+def test_export_keeps_the_previous_file_when_a_render_raises(tmp_path, monkeypatch):
+    from oodgat import experiments
+
+    export_report(fake_report(), tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def broken_lines():
+        yield "threshold,tpr,fpr\n0.5,"  # a partly written file
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(experiments, "report_to_jsonl", lambda report: "changed\n")
+    monkeypatch.setattr(experiments, "report_to_csv",
+                        lambda report: (_ for _ in ()).throw(RuntimeError("render failed")))
+    with pytest.raises(RuntimeError, match="render failed"):
+        export_report(fake_report(), tmp_path)
+    with pytest.raises(RuntimeError, match="render failed"):
+        experiments._write_atomic(tmp_path / "report.txt", broken_lines())
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)  # no temp file left behind
+    assert after["report.jsonl"] == b"changed\n"  # written whole before the failure
+    assert after["report.csv"] == before["report.csv"]
+    assert after["report.txt"] == before["report.txt"]
+
+
+def test_export_keeps_modes_and_writes_through_symlinks(tmp_path):
+    export_report(fake_report(), tmp_path)
+    (tmp_path / "report.csv").chmod(0o640)
+    elsewhere = tmp_path / "kept"
+    elsewhere.mkdir()
+    (tmp_path / "report.txt").replace(elsewhere / "report.txt")
+    (tmp_path / "report.txt").symlink_to(elsewhere / "report.txt")
+    (elsewhere / "report.txt").write_text("old\n")
+    export_report(fake_report(), tmp_path)
+    assert (tmp_path / "report.csv").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "report.txt").is_symlink()
+    assert (elsewhere / "report.txt").read_text() == report_text_table(fake_report())
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["report.txt"]
+
+
 def test_text_table_lists_conditions():
     lines = report_text_table(fake_report()).splitlines()
     assert lines[0].startswith("condition")

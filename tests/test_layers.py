@@ -5,6 +5,8 @@ with plain numpy, and full models pass finite-difference gradient checks
 on small graphs.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,15 +17,16 @@ from oodgat.errors import ConfigError
 from oodgat.graphs import make_graph
 from oodgat.layers import (
     ModelConfig,
+    attention_layer,
     clone_params,
     drop_edge,
-    gat_layer,
+    gat_edge_attention,
     gcn_layer,
     graph_index,
     init_params,
     model_forward,
     oodgat_attention,
-    oodgat_layer,
+    oodgat_edge_attention,
     restore_params,
 )
 
@@ -157,30 +160,45 @@ def test_gcn_symmetric_nodes_agree():
     np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
+def head_block(x, k, K):
+    """Column block k of K equal blocks."""
+    d = x.shape[1] // K
+    return x[:, k * d:(k + 1) * d]
+
+
 def test_gat_layer_matches_dense_oracle():
+    for K in (1, 2):
+        check_gat_layer_against_dense_oracle(K)
+
+
+def check_gat_layer_against_dense_oracle(K):
     rng = np.random.default_rng(4)
     g = toy_graph(n=5, seed=6)
     idx = graph_index(g)
     h = rng.standard_normal((5, 4))
-    W = Tensor(rng.standard_normal((4, 3)))
-    attn = Tensor(rng.standard_normal((6, 1)))
-    got = gat_layer(Tensor(h), idx, W, attn).values
+    W = Tensor(rng.standard_normal((4, 3 * K)))
+    attn = Tensor(rng.standard_normal((6, K)))
+    got, score = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention, combine="concat",
+                                 activation="elu")
+    assert score is None
 
-    hw = h @ W.values
-    left, right = attn.values[:3, 0], attn.values[3:, 0]
     A = dense_adjacency(idx, 5) > 0
-    want = np.zeros((5, 3))
-    for i in range(5):
-        nbrs = np.flatnonzero(A[i])
-        logits = []
-        for j in nbrs:
-            z = left @ hw[i] + right @ hw[j]
-            logits.append(z if z > 0 else 0.2 * z)
-        logits = np.array(logits)
-        alpha = np.exp(logits - logits.max())
-        alpha /= alpha.sum()
-        want[i] = (alpha[:, None] * hw[nbrs]).sum(axis=0)
-    np.testing.assert_allclose(got, want, atol=1e-9)
+    want = np.zeros((5, 3 * K))
+    for k in range(K):
+        hw = h @ head_block(W.values, k, K)
+        left, right = attn.values[:3, k], attn.values[3:, k]
+        for i in range(5):
+            nbrs = np.flatnonzero(A[i])
+            logits = []
+            for j in nbrs:
+                z = left @ hw[i] + right @ hw[j]
+                logits.append(z if z > 0 else 0.2 * z)
+            logits = np.array(logits)
+            alpha = np.exp(logits - logits.max())
+            alpha /= alpha.sum()
+            want[i, 3 * k:3 * (k + 1)] = (alpha[:, None] * hw[nbrs]).sum(axis=0)
+    want = np.where(want > 0, want, np.expm1(want))
+    np.testing.assert_allclose(got.values, want, atol=1e-9)
 
 
 def test_gat_identical_features_uniform_attention():
@@ -189,64 +207,90 @@ def test_gat_identical_features_uniform_attention():
     rng = np.random.default_rng(0)
     W = Tensor(rng.standard_normal((2, 2)))
     attn = Tensor(rng.standard_normal((4, 1)))
-    out = gat_layer(Tensor(h), idx, W, attn).values
+    out, _ = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention, combine="concat",
+                             activation="elu")
     # all nodes identical: aggregation result equals hw rows themselves
-    np.testing.assert_allclose(out, h @ W.values, atol=1e-12)
+    hw = h @ W.values
+    np.testing.assert_allclose(out.values, np.where(hw > 0, hw, np.expm1(hw)), atol=1e-12)
 
 
 def test_oodgat_prediction_layer_matches_dense_oracle():
+    for K in (1, 2):
+        check_oodgat_prediction_layer_against_dense_oracle(K)
+
+
+def check_oodgat_prediction_layer_against_dense_oracle(K):
     rng = np.random.default_rng(11)
     n, d, C = 10, 6, 3
     g = toy_graph(n=n, seed=12)
     idx = graph_index(g)
     h = rng.standard_normal((n, d))
-    W = Tensor(rng.standard_normal((d, C)), requires_grad=True)
-    a = Tensor(rng.standard_normal((C, 1)), requires_grad=True)
-    hidden, mean_score = oodgat_layer(Tensor(h), idx, [W], [a], combine="average",
-                                      activation="elu")
+    W = Tensor(rng.standard_normal((d, C * K)), requires_grad=True)
+    a = Tensor(rng.standard_normal((C, K)), requires_grad=True)
+    hidden, mean_score = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention,
+                                         combine="average", activation="elu")
 
-    hw = h @ W.values
-    w = 1.0 / (1.0 + np.exp(-(hw @ a.values[:, 0])))
     A = dense_adjacency(idx, n) > 0
     agg = np.zeros((n, C))
-    for i in range(n):
-        nbrs = np.flatnonzero(A[i])
-        e = 1.0 - np.abs(w[i] - w[nbrs])
-        alpha = np.exp(e - e.max())
-        alpha /= alpha.sum()
-        agg[i] = (alpha[:, None] * hw[nbrs]).sum(axis=0)
+    scores = np.zeros((n, K))
+    for k in range(K):
+        hw = h @ head_block(W.values, k, K)
+        w = 1.0 / (1.0 + np.exp(-(hw @ a.values[:, k])))
+        for i in range(n):
+            nbrs = np.flatnonzero(A[i])
+            e = 1.0 - np.abs(w[i] - w[nbrs])
+            alpha = np.exp(e - e.max())
+            alpha /= alpha.sum()
+            agg[i] += (alpha[:, None] * hw[nbrs]).sum(axis=0) / K
+        scores[:, k] = w
     z = np.exp(agg - agg.max(axis=1, keepdims=True))
     want = z / z.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(hidden.values, want, atol=1e-9)
     np.testing.assert_allclose(hidden.values.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(mean_score.values[:, 0], w, atol=1e-12)
+    np.testing.assert_allclose(mean_score.values[:, 0], scores.mean(axis=1), atol=1e-12)
 
 
 def test_oodgat_isolated_node_is_plain_transform():
     idx = build_segment_index(np.array([], dtype=int), np.array([], dtype=int), 1)
     rng = np.random.default_rng(13)
-    h = rng.standard_normal((1, 4))
-    W = Tensor(rng.standard_normal((4, 3)))
-    a = Tensor(rng.standard_normal((3, 1)))
-    hidden, _ = oodgat_layer(Tensor(h), idx, [W], [a], combine="concat", activation="elu")
-    want = h @ W.values
-    want = np.where(want > 0, want, np.expm1(want))
-    np.testing.assert_allclose(hidden.values, want, atol=1e-12)
+    for K in (1, 2):
+        h = rng.standard_normal((1, 4))
+        W = Tensor(rng.standard_normal((4, 3 * K)))
+        a = Tensor(rng.standard_normal((3, K)))
+        hidden, _ = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention, combine="concat",
+                                    activation="elu")
+        want = h @ W.values
+        want = np.where(want > 0, want, np.expm1(want))
+        np.testing.assert_allclose(hidden.values, want, atol=1e-12)
 
 
 def test_oodgat_duplicate_heads_duplicate_output():
+    # K = 2 copies of one head give that head twice (concat) or once (average)
     rng = np.random.default_rng(14)
     g = toy_graph(n=7, seed=15)
     idx = graph_index(g)
     h = Tensor(rng.standard_normal((7, 4)))
-    W = Tensor(rng.standard_normal((4, 3)))
-    a = Tensor(rng.standard_normal((3, 1)))
-    single, single_score = oodgat_layer(h, idx, [W], [a], combine="concat",
-                                        activation="elu")
-    double, double_score = oodgat_layer(h, idx, [W, W], [a, a], combine="concat",
-                                        activation="elu")
-    np.testing.assert_allclose(double.values, np.hstack([single.values] * 2), atol=1e-12)
-    np.testing.assert_allclose(double_score.values, single_score.values, atol=1e-12)
+    W = rng.standard_normal((4, 3))
+    models = ((oodgat_edge_attention, 3), (gat_edge_attention, 6))
+    for (edge_attention, rows), combine in itertools.product(models, ("concat", "average")):
+        a = rng.standard_normal((rows, 1))
+        single, single_score = attention_layer(h, idx, Tensor(W), Tensor(a), edge_attention,
+                                               combine=combine, activation="elu")
+        double, double_score = attention_layer(h, idx, Tensor(np.hstack([W, W])),
+                                               Tensor(np.hstack([a, a])), edge_attention,
+                                               combine=combine, activation="elu")
+        want = np.hstack([single.values] * 2) if combine == "concat" else single.values
+        np.testing.assert_allclose(double.values, want, atol=1e-12)
+        if edge_attention is oodgat_edge_attention:
+            np.testing.assert_allclose(double_score.values, single_score.values, atol=1e-12)
+
+
+def test_attention_layer_rejects_unknown_combine():
+    g = toy_graph(n=4, seed=1)
+    with pytest.raises(ConfigError, match="combine"):
+        attention_layer(Tensor(g.features), graph_index(g), Tensor(np.ones((4, 2))),
+                        Tensor(np.ones((2, 1))), oodgat_edge_attention, combine="max",
+                        activation="elu")
 
 
 def test_duplicate_neighbor_entry_counts_twice():
@@ -290,12 +334,45 @@ def test_model_config_validation():
 def test_init_params_shapes_and_zero_scores():
     cfg = ModelConfig(architecture="oodgat", num_classes=3, heads=2, hidden_dim=8)
     params = init_params(cfg, in_dim=5, rng=np.random.default_rng(0))
-    assert params["l1.h0.W"].shape == (5, 8)
-    assert params["l1.h1.a"].shape == (8, 1)
-    assert params["l2.h0.W"].shape == (16, 3)
-    assert params["l2.h1.a"].shape == (3, 1)
-    np.testing.assert_array_equal(params["l1.h0.a"].values, 0.0)
+    assert params["l1.W"].shape == (5, 16)
+    assert params["l1.a"].shape == (8, 2)
+    assert params["l2.W"].shape == (16, 6)
+    assert params["l2.a"].shape == (3, 2)
+    np.testing.assert_array_equal(params["l1.a"].values, 0.0)
+    np.testing.assert_array_equal(params["l2.a"].values, 0.0)
     assert all(t.requires_grad for t in params.values())
+
+
+def per_head_glorot_draws(arch, in_dim, width, heads, C, rng):
+    """The per-head parameters of one Glorot draw per head matrix, in head
+    order per layer (gat: W, then attn), as separate arrays."""
+    def glorot(rows, cols):
+        limit = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-limit, limit, size=(rows, cols))
+
+    out = {}
+    for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
+        for k in range(heads):
+            out[f"{layer}.h{k}.W"] = glorot(rows, cols)
+            if arch == "gat":
+                out[f"{layer}.h{k}.attn"] = glorot(2 * cols, 1)
+    return out
+
+
+@pytest.mark.parametrize("arch", ["gat", "oodgat"])
+def test_fused_init_stacks_per_head_draws(arch):
+    cfg = ModelConfig(architecture=arch, num_classes=3, heads=3, hidden_dim=4)
+    params = init_params(cfg, 5, np.random.default_rng(21))
+    heads = per_head_glorot_draws(arch, 5, 4, 3, 3, np.random.default_rng(21))
+    for layer in ("l1", "l2"):
+        np.testing.assert_array_equal(
+            params[f"{layer}.W"].values, np.hstack([heads[f"{layer}.h{k}.W"] for k in range(3)]))
+        if arch == "gat":
+            np.testing.assert_array_equal(
+                params[f"{layer}.attn"].values,
+                np.hstack([heads[f"{layer}.h{k}.attn"] for k in range(3)]))
+    assert sorted(params) == (["l1.W", "l1.attn", "l2.W", "l2.attn"] if arch == "gat"
+                              else ["l1.W", "l1.a", "l2.W", "l2.a"])
 
 
 def test_init_params_deterministic():
@@ -407,10 +484,12 @@ def test_full_model_gradcheck(arch, heads):
     g = toy_graph(n=8, seed=24)
     cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=3)
     params = init_params(cfg, g.num_features, np.random.default_rng(8))
-    # move score vectors off zero so the abs kink is not at the sample point
+    # move score vectors off zero so the abs kink is not at the sample point;
+    # every head gets the same draw
     for name, t in params.items():
         if name.endswith(".a"):
-            t.values = np.random.default_rng(9).uniform(0.1, 0.5, t.shape)
+            t.values = np.hstack([np.random.default_rng(9).uniform(0.1, 0.5, (t.shape[0], 1))
+                                  for _ in range(heads)])
     idx = graph_index(g)
     mask = np.zeros(8, dtype=bool)
     mask[:4] = True

@@ -256,8 +256,9 @@ def tiny_model(seed=0, n=8):
     cfg = ModelConfig(architecture="oodgat", num_classes=3, heads=2, hidden_dim=4)
     params = init_params(cfg, 5, rng)
     for name, t in params.items():
-        if name.endswith(".a"):
-            t.values = rng.uniform(0.05, 0.3, t.shape)
+        if name.endswith(".a"):  # one (rows, 1) draw per head, in head order
+            t.values = np.hstack([rng.uniform(0.05, 0.3, (t.shape[0], 1))
+                                  for _ in range(cfg.heads)])
     mask = np.zeros(n, bool)
     mask[: n // 2] = True
     return g, cfg, params, mask
@@ -292,7 +293,7 @@ def test_detach_switch_changes_gradients_not_values():
         with GradTape():
             out = model_forward(cfg, params, g.features, graph_index(g))
             total, _ = compute_objective(out, g.labels, mask, w, t=0)
-            return total.values[0, 0], backward(total)[params["l1.h0.W"]]
+            return total.values[0, 0], backward(total)[params["l1.W"]]
 
     loss_a, grad_a = grads_with(False)
     loss_b, grad_b = grads_with(True)
@@ -321,7 +322,7 @@ def test_backward_linearity_of_summed_losses():
 
     def grad_of(build):
         with GradTape():
-            return backward(build())[params["l1.h0.W"]]
+            return backward(build())[params["l1.W"]]
 
     def ce_only():
         out = model_forward(cfg, params, g.features, idx)
