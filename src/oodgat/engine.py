@@ -90,7 +90,10 @@ def _record(out: Tensor, inputs: tuple, bwd: Callable[[Array], Sequence[Array | 
     tape = _active_tape()
     if tape is None:
         return
-    if not any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+    for t in inputs:
+        if type(t) is Tensor and t.requires_grad:
+            break
+    else:
         return
     out.requires_grad = True
     out.tape_id = len(tape._nodes)
@@ -153,7 +156,7 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         if g is None:
             continue  # not on any path to the loss
         for t, gi in zip(inputs, bwd(g)):
-            if gi is None or not _needs_grad(t):
+            if gi is None or type(t) is not Tensor or not t.requires_grad:
                 continue
             prev = grads.get(id(t))
             grads[id(t)] = gi if prev is None else prev + gi
@@ -195,14 +198,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    av, bv = _values(a), _values(b)
-    _check_pointwise_shapes(av, bv)
-    out = Tensor(np.atleast_2d(av - bv))
-    _record(out, (a, b), lambda g: (_broadcast_bwd(a, g), _broadcast_bwd(b, -g)))
-    return out
-
-
 def mul(a, b) -> Tensor:
     av, bv = _values(a), _values(b)
     _check_pointwise_shapes(av, bv)
@@ -210,19 +205,6 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         return (_broadcast_bwd(a, g * bv), _broadcast_bwd(b, g * av))
-
-    _record(out, (a, b), bwd)
-    return out
-
-
-def div(a, b) -> Tensor:
-    av, bv = _values(a), _values(b)
-    _check_pointwise_shapes(av, bv)
-    out = Tensor(np.atleast_2d(av / bv))
-
-    def bwd(g):
-        return (_broadcast_bwd(a, g / bv),
-                _broadcast_bwd(b, -g * av / (bv * bv)))
 
     _record(out, (a, b), bwd)
     return out
@@ -245,46 +227,10 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def log(x) -> Tensor:
-    """Natural log with the argument clamped at 1e-12.
-
-    Below the clamp the forward is constant, so the derivative there is 0.
-    """
-    v = _values(x)
-    safe = np.maximum(v, _LOG_CLAMP)
-    out = Tensor(np.log(safe))
-    _record(out, (x,), lambda g: (g * (v > _LOG_CLAMP) / safe,))
-    return out
-
-
-def sqrt(x) -> Tensor:
-    v = _values(x)
-    y = np.sqrt(v)
-    out = Tensor(y)
-    # subgradient 0 at the origin keeps zero-variance inputs finite
-    _record(out, (x,), lambda g: (g * np.where(v > 0, 0.5 / np.where(y > 0, y, 1.0), 0.0),))
-    return out
-
-
-def absolute(x) -> Tensor:
-    v = _values(x)
-    out = Tensor(np.abs(v))
-    # sign(0) = 0: the subgradient choice that keeps untrained scorers inert
-    _record(out, (x,), lambda g: (g * np.sign(v),))
-    return out
-
-
 def relu(x) -> Tensor:
     v = _values(x)
     out = Tensor(np.maximum(v, 0.0))
     _record(out, (x,), lambda g: (g * (v > 0),))
-    return out
-
-
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
-    v = _values(x)
-    out = Tensor(np.where(v > 0, v, slope * v))
-    _record(out, (x,), lambda g: (g * np.where(v > 0, 1.0, slope),))
     return out
 
 
@@ -321,47 +267,6 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def gather_rows(x, idx: Array) -> Tensor:
-    """Select rows x[idx]; backward scatter-adds into the source rows."""
-    v = _values(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.take(v, idx, axis=0))
-
-    def bwd(g):  # bincount adds in input order, as a sequential scatter-add would
-        flat = (idx[:, None] * v.shape[1] + np.arange(v.shape[1])).ravel()
-        return (np.bincount(flat, g.ravel(), v.size).reshape(v.shape),)
-
-    _record(out, (x,), bwd)
-    return out
-
-
-def pick(x, rows: Array, cols: Array) -> Tensor:
-    """Select entries x[rows[i], cols[i]] as a column vector."""
-    v = _values(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(v[rows, cols][:, None])
-
-    def bwd(g):
-        return (np.bincount(rows * v.shape[1] + cols, g[:, 0], v.size).reshape(v.shape),)
-
-    _record(out, (x,), bwd)
-    return out
-
-
-def hstack(parts: Sequence) -> Tensor:
-    vals = [_values(p) for p in parts]
-    out = Tensor(np.concatenate(vals, axis=1))
-    widths = [v.shape[1] for v in vals]
-    edges = np.cumsum([0] + widths)
-
-    def bwd(g):
-        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(vals)))
-
-    _record(out, tuple(parts), bwd)
-    return out
-
-
 def slice_rows(x, start: int, stop: int) -> Tensor:
     v = _values(x)
     out = Tensor(v[start:stop].copy())
@@ -383,20 +288,6 @@ def reduce_sum(x) -> Tensor:
     v = _values(x)
     out = Tensor([[v.sum()]])
     _record(out, (x,), lambda g: (np.full_like(v, g[0, 0]),))
-    return out
-
-
-def reduce_mean(x) -> Tensor:
-    v = _values(x)
-    out = Tensor([[v.mean()]])
-    _record(out, (x,), lambda g: (np.full_like(v, g[0, 0] / v.size),))
-    return out
-
-
-def row_sum(x) -> Tensor:
-    v = _values(x)
-    out = Tensor(v.sum(axis=1, keepdims=True))
-    _record(out, (x,), lambda g: (np.broadcast_to(g, v.shape).copy(),))
     return out
 
 
@@ -458,10 +349,110 @@ def cosine_similarity(u, v) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused objective terms: one tape node each, forwards computed exactly as
+# the elementwise chains they stand for
+
+
+def _scatter_rows(g: Array, idx: Array, num_rows: int) -> Array:
+    """out[i] = sum of g[j] over idx[j] == i, added in entry order as a
+    sequential scatter-add would (one bincount per column)."""
+    out = np.empty((num_rows, g.shape[1]))
+    for k in range(g.shape[1]):
+        out[:, k] = np.bincount(idx, g[:, k], num_rows)
+    return out
+
+
+def log_sum(x, rows: Array, cols: Array | None, factor: float) -> Tensor:
+    """factor * sum of log(max(v, 1e-12)) over the entries x[rows[i], cols[i]],
+    or over the whole rows x[rows] when cols is None, as a 1x1 tensor.
+
+    Below the clamp the forward is constant, so the derivative there is 0.
+    """
+    v = _values(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    if cols is None:
+        picked = np.take(v, rows, axis=0)
+    else:
+        cols = np.asarray(cols, dtype=np.int64)
+        picked = v[rows, cols][:, None]
+    safe = np.maximum(picked, _LOG_CLAMP)
+    factor = float(factor)
+    out = Tensor(np.array([[np.log(safe).sum()]]) * factor)
+
+    def bwd(g):
+        gp = (g[0, 0] * factor) * (picked > _LOG_CLAMP) / safe
+        if cols is None:
+            return (_scatter_rows(gp, rows, v.shape[0]),)
+        flat = rows * v.shape[1] + cols
+        return (np.bincount(flat, gp[:, 0], v.size).reshape(v.shape),)
+
+    _record(out, (x,), bwd)
+    return out
+
+
+def row_entropy(x) -> Tensor:
+    """Per-row entropy -sum_j v_ij log(max(v_ij, 1e-12)), as an (n, 1) column."""
+    v = _values(x)
+    safe = np.maximum(v, _LOG_CLAMP)
+    logv = np.log(safe)
+    out = Tensor((v * logv).sum(axis=1, keepdims=True) * -1.0)
+
+    def bwd(g):
+        gb = np.broadcast_to(g * -1.0, v.shape)
+        return (gb * logv + gb * v * (v > _LOG_CLAMP) / safe,)
+
+    _record(out, (x,), bwd)
+    return out
+
+
+def standardize(x, var_floor: float) -> Tensor:
+    """(v - mean) / population sigma over all entries of x. When the
+    variance is at or below `var_floor`, the centred values pass unscaled."""
+    v = _values(x)
+    n = v.size
+    centered = v - v.mean()
+    var = (centered * centered).mean()
+    if var <= var_floor:
+        out = Tensor(centered)
+        _record(out, (x,), lambda g: (g - g.sum() / n,))
+        return out
+    sd = np.sqrt(var)
+    out = Tensor(centered / sd)
+
+    def bwd(g):
+        # through the quotient, the sqrt, the variance's mean and square,
+        # then the centring
+        g_var = (-g * centered / (sd * sd)).sum() * (0.5 / sd) / n
+        gc = g / sd + g_var * centered + g_var * centered
+        return (gc - gc.sum() / n,)
+
+    _record(out, (x,), bwd)
+    return out
+
+
+def weighted_sum(base, terms: Sequence, weights: Sequence[float], factor: float) -> Tensor:
+    """base + factor * (w_1 t_1 + ... + w_m t_m) over 1x1 tensors, the
+    weighted terms added left to right; m >= 1."""
+    weights = [float(w) for w in weights]
+    factor = float(factor)
+    acc = _values(terms[0]) * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        acc = acc + _values(t) * w
+    out = Tensor(_values(base) + acc * factor)
+
+    def bwd(g):
+        g_terms = g * factor
+        return (g,) + tuple(g_terms * w for w in weights)
+
+    _record(out, (base, *terms), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # segment ops over ragged neighborhoods
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentIndex:
     """Edge list sorted by target node, with group offsets.
 
@@ -472,6 +463,7 @@ class SegmentIndex:
     The sparse matrices derived from the index are built on first use and
     kept with it. `spmm` writes its weights into the shared `data` buffer
     of `head_blocks`, so one index must not run spmm in two threads at once.
+    Indices compare and hash by identity, as those caches assume.
     """
 
     targets: Array
@@ -479,7 +471,7 @@ class SegmentIndex:
     offsets: Array
     num_nodes: int
     self_pos: Array = field(default=None, repr=False)  # entry index of each node's self edge
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.targets, dtype=np.int64)
@@ -557,24 +549,56 @@ def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
                         num_nodes=num_nodes, self_pos=self_pos)
 
 
-def segment_softmax(logits, index: SegmentIndex) -> Tensor:
-    """Softmax within each target group, separately for each of the K
-    columns of (num_entries, K) logits."""
-    v = _values(logits)
-    if v.ndim != 2 or v.shape[0] != index.num_entries:
-        raise EngineError(f"segment_softmax expects {index.num_entries} rows, got {v.shape}")
+_LEAKY_SLOPE = 0.2
+
+
+def edge_softmax(left, right, index: SegmentIndex, kind: str) -> Tensor:
+    """Edge logits from per-node scores, softmaxed within each target group.
+
+    left, right: (num_nodes, K); returns (num_entries, K), column k being
+    head k. Entry (t, s) of the index has the logit
+      kind "agree": 1 - |left[t] - right[s]|   (OOD-score agreement)
+      kind "leaky": LeakyReLU_0.2(left[t] + right[s])   (GAT)
+    "agree" shifts its logits by 1 instead of by the group maximum. With
+    left and right the same tensor, that is the self entry's logit and
+    the maximum of its group, so the result is bit for bit the
+    max-shifted softmax; for other scores the softmax is unchanged, but
+    logits far below 1 can underflow.
+    """
+    lv, rv = _values(left), _values(right)
+    n = index.num_nodes
+    if lv.shape != rv.shape or lv.shape[0] != n:
+        raise EngineError(f"edge_softmax needs two ({n}, K) score matrices, "
+                          f"got {lv.shape} and {rv.shape}")
+    if kind not in ("agree", "leaky"):
+        raise EngineError(f"unknown edge_softmax kind {kind!r}")
+    targets, sources = index.targets, index.sources
     starts = index.offsets[:-1]
     # np.take along axis 0 gathers rows far faster than fancy indexing
-    gmax = np.maximum.reduceat(v, starts, axis=0)
-    z = np.exp(v - np.take(gmax, index.targets, axis=0))
-    y = z / np.take(np.add.reduceat(z, starts, axis=0), index.targets, axis=0)
+    lt, rs = np.take(lv, targets, axis=0), np.take(rv, sources, axis=0)
+    if kind == "agree":
+        diff = lt - rs
+        z = np.exp((1.0 - np.abs(diff)) - 1.0)
+    else:
+        raw = lt + rs
+        e = np.where(raw > 0, raw, _LEAKY_SLOPE * raw)
+        z = np.exp(e - np.take(np.maximum.reduceat(e, starts, axis=0), targets, axis=0))
+    y = z / np.take(np.add.reduceat(z, starts, axis=0), targets, axis=0)
     out = Tensor(y)
 
     def bwd(g):
         inner = np.add.reduceat(g * y, starts, axis=0)
-        return (y * (g - np.take(inner, index.targets, axis=0)),)
+        g_logit = y * (g - np.take(inner, targets, axis=0))
+        if kind == "agree":
+            # sign(0) = 0: the subgradient that keeps untrained scorers inert
+            g_left = -g_logit * np.sign(diff)
+            g_right = -g_left
+        else:
+            g_left = g_right = g_logit * np.where(raw > 0, 1.0, _LEAKY_SLOPE)
+        return (_scatter_rows(g_left, targets, n) if _needs_grad(left) else None,
+                _scatter_rows(g_right, sources, n) if _needs_grad(right) else None)
 
-    _record(out, (logits,), bwd)
+    _record(out, (left, right), bwd)
     return out
 
 

@@ -12,9 +12,12 @@ Graphs are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import logging
+import os
+import shutil
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,13 +30,14 @@ log = logging.getLogger(__name__)
 EDGE_CLASSES = ("intra_id", "intra_ood", "inter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with node features, class labels, and ID/OOD flags.
 
     `edges` stores each undirected edge once as (min, max), lexicographically
     sorted, with no self-loops. identity[v] is 0 for in-distribution nodes
-    and 1 for out-of-distribution nodes.
+    and 1 for out-of-distribution nodes. Graphs compare and hash by
+    identity, as the cached index and features below assume.
     """
 
     num_nodes: int
@@ -254,20 +258,39 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     return make_graph(num_nodes, canonical, features, labels, identity)
 
 
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Write a UTF-8 text file whole or not at all.
+
+    The lines go to a temp file in the same directory, which then
+    replaces `path` in one rename. If producing or writing a line raises,
+    `path` keeps its previous content and the temp file is removed. As
+    with an in-place write, a symlink at `path` is followed (the file it
+    names is replaced) and a file already there keeps its permission bits.
+    """
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        try:
+            shutil.copymode(path, tmp)
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_graph_bundle(graph: Graph, path) -> None:
-    """Write a Graph back out in bundle format (round-trips exactly)."""
+    """Write a Graph back out in bundle format (round-trips exactly); each
+    file is written whole or not at all."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "edges.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u}\t{v}\n")
-    with open(root / "features.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for row in graph.features:
-            # repr round-trips doubles exactly
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-    with open(root / "labels.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for y in graph.labels:
-            fh.write(f"{y}\n")
+    _write_atomic(root / "edges.tsv", (f"{u}\t{v}\n" for u, v in graph.edges))
+    # repr round-trips doubles exactly
+    _write_atomic(root / "features.csv", (",".join(repr(float(x)) for x in row) + "\n"
+                                          for row in graph.features))
+    _write_atomic(root / "labels.tsv", (f"{y}\n" for y in graph.labels))
 
 
 # ---------------------------------------------------------------------------

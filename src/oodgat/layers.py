@@ -16,6 +16,7 @@ columns of `a` (width, K) or `attn` (2*width, K).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,12 +158,9 @@ def oodgat_attention(scores: Tensor, index: SegmentIndex) -> Tensor:
     """Edge attention from node scores (n, K): softmax over e = 1 - |w_t - w_s|.
 
     Self entries compare a node with itself, so their raw e is exactly 1,
-    the group maximum for scores inside [0, 1].
+    the group maximum.
     """
-    w_t = engine.gather_rows(scores, index.targets)
-    w_s = engine.gather_rows(scores, index.sources)
-    e = engine.sub(1.0, engine.absolute(engine.sub(w_t, w_s)))
-    return engine.segment_softmax(e, index)
+    return engine.edge_softmax(scores, scores, index, "agree")
 
 
 def oodgat_edge_attention(hw: Tensor, a: Tensor, index: SegmentIndex) -> tuple[Tensor, Tensor]:
@@ -177,9 +175,16 @@ def gat_edge_attention(hw: Tensor, attn: Tensor, index: SegmentIndex) -> tuple[T
     d = attn.shape[0] // 2
     s_t = engine.head_project(hw, engine.slice_rows(attn, 0, d))
     s_s = engine.head_project(hw, engine.slice_rows(attn, d, 2 * d))
-    e = engine.leaky_relu(engine.add(engine.gather_rows(s_t, index.targets),
-                                     engine.gather_rows(s_s, index.sources)))
-    return engine.segment_softmax(e, index), None
+    return engine.edge_softmax(s_t, s_s, index, "leaky"), None
+
+
+@lru_cache(maxsize=None)
+def _head_average(heads: int, width: int) -> np.ndarray:
+    """(heads*width, width) constant whose product with K side-by-side
+    blocks of `width` columns is their mean; read-only, as it is shared."""
+    avg = np.tile(np.eye(width), (heads, 1)) / heads
+    avg.flags.writeable = False
+    return avg
 
 
 def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attention,
@@ -200,12 +205,10 @@ def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attent
     hw = engine.matmul(h, W)
     alpha, scores = edge_attention(hw, attn, index)
     out = engine.spmm(alpha, hw, index)
-    mean_score = (None if scores is None
-                  else engine.matmul(scores, np.full((heads, 1), 1.0 / heads)))
+    mean_score = None if scores is None else engine.matmul(scores, _head_average(heads, 1))
     if combine == "concat":
         return _activation(activation)(out), mean_score
-    width = out.shape[1] // heads
-    head_mean = np.tile(np.eye(width), (heads, 1)) / heads
+    head_mean = _head_average(heads, out.shape[1] // heads)
     return engine.row_softmax(engine.matmul(out, head_mean)), mean_score
 
 

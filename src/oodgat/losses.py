@@ -17,7 +17,7 @@ from . import engine
 from .engine import Tensor
 from .errors import ConfigError
 
-_SIGMA_FLOOR = 1e-12
+_VAR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def cross_entropy_loss(Z: Tensor, labels, train_mask) -> Tensor:
     if len(rows) == 0:
         raise ConfigError("cross-entropy needs a nonempty mask")
     cols = np.asarray(labels, dtype=np.int64)[rows]
-    picked = engine.pick(Z, rows, cols)
-    return engine.scale(engine.reduce_sum(engine.log(picked)), -1.0 / len(rows))
+    return engine.log_sum(Z, rows, cols, -1.0 / len(rows))
 
 
 def entropy_score_vector(Z: Tensor) -> Tensor:
@@ -77,15 +76,7 @@ def entropy_score_vector(Z: Tensor) -> Tensor:
     """
     if Z.shape[0] < 2:
         raise ConfigError("entropy standardization needs at least 2 nodes")
-    ent = engine.scale(engine.row_sum(engine.mul(Z, engine.log(Z))), -1.0)
-    mu = engine.reduce_mean(ent)
-    centered = engine.sub(ent, mu)
-    var = engine.reduce_mean(engine.mul(centered, centered))
-    if var.values[0, 0] <= _SIGMA_FLOOR:
-        standardized = centered  # degenerate constancy: sigma substituted by 1
-    else:
-        standardized = engine.div(centered, engine.sqrt(var))
-    return engine.sigmoid(standardized)
+    return engine.sigmoid(engine.standardize(engine.row_entropy(Z), _VAR_FLOOR))
 
 
 def consistency_loss(w1: Tensor, w2: Tensor, e: Tensor) -> Tensor:
@@ -108,9 +99,7 @@ def entropy_reg_loss(Z: Tensor, w_select: np.ndarray, epsilon: float) -> Tensor:
     selected = np.flatnonzero(w_select > epsilon)
     if len(selected) == 0:
         return Tensor([[0.0]])
-    C = Z.shape[1]
-    rows = engine.gather_rows(Z, selected)
-    return engine.scale(engine.reduce_sum(engine.log(rows)), -1.0 / (C * len(selected)))
+    return engine.log_sum(Z, selected, None, -1.0 / (Z.shape[1] * len(selected)))
 
 
 def discrepancy_loss(w1: Tensor, w2: Tensor) -> Tensor:
@@ -127,20 +116,16 @@ def total_loss(parts: dict, weights: LossWeights, t: int) -> tuple[Tensor, LossB
     """
     if t < 0:
         raise ConfigError("step index must be >= 0")
-    ce = parts["ce"]
     decay = weights.decay(t)
-    total = ce
-    reg_terms = []
+    terms, term_weights = [], []
     for name, weight in (("con", weights.beta), ("ent", weights.gamma),
                          ("dis", weights.zeta)):
         term = parts.get(name)
         if term is not None and weight != 0.0:
-            reg_terms.append(engine.scale(term, weight))
-    if reg_terms:
-        reg = reg_terms[0]
-        for term in reg_terms[1:]:
-            reg = engine.add(reg, term)
-        total = engine.add(ce, engine.scale(reg, decay))
+            terms.append(term)
+            term_weights.append(weight)
+    total = (engine.weighted_sum(parts["ce"], terms, term_weights, decay)
+             if terms else parts["ce"])
 
     def val(name):
         term = parts.get(name)

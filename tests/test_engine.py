@@ -2,10 +2,11 @@
 
 Expected gradients here come from two independent sources: hand-derived
 closed forms frozen as literals, and central finite differences via
-grad_check. Segment ops are additionally checked against plain-loop
-reference implementations, spmm against a dense matrix product (per
-head when it runs several heads), and the multi-head spmm against
-single-head products bit for bit.
+grad_check. The edge softmax is additionally checked against a plain-loop
+reference, its scatters against np.add.at, spmm against a dense matrix
+product (per head when it runs several heads), and the multi-head spmm
+against single-head products bit for bit. tests/test_fused_ops.py holds
+the elementwise chains the fused ops replaced.
 """
 
 import gc
@@ -20,33 +21,27 @@ from oodgat.engine import (
     GradTape,
     SegmentIndex,
     Tensor,
-    absolute,
     add,
     backward,
     build_segment_index,
     cosine_similarity,
-    div,
     dropout,
+    edge_softmax,
     elu,
-    gather_rows,
     grad_check,
-    hstack,
-    leaky_relu,
-    log,
+    log_sum,
     matmul,
     mul,
-    pick,
-    reduce_mean,
     reduce_sum,
     relu,
+    row_entropy,
     row_softmax,
-    row_sum,
     scale,
     sigmoid,
     slice_rows,
     spmm,
-    sqrt,
-    sub,
+    standardize,
+    weighted_sum,
 )
 from oodgat.errors import EngineError
 
@@ -175,18 +170,26 @@ def test_matmul_hand_derived():
 
 
 def test_abs_subgradient_at_zero_is_zero():
-    x = leaf([[0.0, -2.0, 3.0]])
-    with GradTape():
-        grads = backward(reduce_sum(absolute(x)))
-    np.testing.assert_array_equal(grads[x], [[0.0, -1.0, 1.0]])
+    # the "agree" logit 1 - |w_t - w_s| takes sign(0) = 0: an entry with
+    # tied scores passes no gradient, whatever the downstream weights
+    idx = build_segment_index(np.array([0, 1]), np.array([1, 2]), 3)  # 0-1, 1-2
+    weights = np.arange(idx.num_entries, dtype=float)[:, None]
+    # all tied; then node 2 alone differs, so only node 0 (whose entries
+    # are all tied) gets none
+    for scores, nonzero in (([[0.4], [0.4], [0.4]], [False, False, False]),
+                            ([[0.4], [0.4], [0.9]], [False, True, True])):
+        x = leaf(scores)
+        with GradTape():
+            grads = backward(reduce_sum(mul(edge_softmax(x, x, idx, "agree"), weights)))
+        np.testing.assert_array_equal(grads[x][:, 0] != 0.0, nonzero)
 
 
 def test_log_clamps_small_arguments():
     x = leaf([[1e-20, 1.0]])
-    y = log(x)
-    np.testing.assert_allclose(y.values, [[np.log(1e-12), 0.0]])
+    y = log_sum(x, np.array([0]), None, 1.0)
+    assert y.values[0, 0] == np.log(1e-12)
     with GradTape():
-        grads = backward(reduce_sum(log(x)))
+        grads = backward(log_sum(x, np.array([0, 0]), np.array([0, 1]), 1.0))
     # below the clamp the forward is constant, so the derivative is zero
     np.testing.assert_array_equal(grads[x][0, 0], 0.0)
     np.testing.assert_allclose(grads[x][0, 1], 1.0)
@@ -246,7 +249,16 @@ def test_sparse_rejected_outside_matmul():
 # segment ops
 
 
-def loop_segment_softmax(logits, index):
+def loop_edge_softmax(left, right, index, kind):
+    """One column of scores: the logit of each entry, then a max-shifted
+    softmax over each target's group, all in plain loops."""
+    logits = np.empty(index.num_entries)
+    for k, (t, s) in enumerate(zip(index.targets, index.sources)):
+        if kind == "agree":
+            logits[k] = 1.0 - abs(left[t] - right[s])
+        else:
+            raw = left[t] + right[s]
+            logits[k] = raw if raw > 0 else 0.2 * raw
     out = np.empty_like(logits)
     for i in range(index.num_nodes):
         lo, hi = index.offsets[i], index.offsets[i + 1]
@@ -300,8 +312,14 @@ def test_segment_index_validation():
 def test_segment_softmax_hand_example():
     idx = build_segment_index(np.array([1]), np.array([0]), 2)
     # group for node 0 has logits [0, 0] -> [0.5, 0.5]; node 1 alone -> [1]
-    y = engine.segment_softmax(Tensor(np.zeros((3, 1))), idx)
+    zeros = Tensor(np.zeros((2, 1)))
+    y = edge_softmax(zeros, zeros, idx, "leaky")
     np.testing.assert_allclose(y.values[:, 0], [0.5, 0.5, 1.0])
+    # scores 0.7 and 0.2: node 0's group has logits [1, 0.5]
+    scores = Tensor([[0.7], [0.2]])
+    y = edge_softmax(scores, scores, idx, "agree")
+    np.testing.assert_allclose(y.values[:, 0], [1 / (1 + np.exp(-0.5)),
+                                                1 / (1 + np.exp(0.5)), 1.0])
 
 
 def test_segment_softmax_matches_loop_reference():
@@ -312,23 +330,44 @@ def test_segment_softmax_matches_loop_reference():
         src = rng.integers(0, n, size=m)
         dst = rng.integers(0, n, size=m)
         idx = build_segment_index(src, dst, n)
-        logits = rng.standard_normal((idx.num_entries, 1)) * 5
-        got = engine.segment_softmax(Tensor(logits), idx).values
-        want = loop_segment_softmax(logits[:, 0], idx)
-        np.testing.assert_allclose(got[:, 0], want, atol=1e-12)
-        sums = np.add.reduceat(got[:, 0], idx.offsets[:-1])
-        np.testing.assert_allclose(sums, np.ones(n), atol=1e-12)
+        left, right = rng.standard_normal((n, 1)) * 5, rng.standard_normal((n, 1)) * 5
+        for kind, r in (("agree", left), ("agree", right), ("leaky", right)):
+            got = edge_softmax(Tensor(left), Tensor(r), idx, kind).values
+            want = loop_edge_softmax(left[:, 0], r[:, 0], idx, kind)
+            np.testing.assert_allclose(got[:, 0], want, atol=1e-12)
+            sums = np.add.reduceat(got[:, 0], idx.offsets[:-1])
+            np.testing.assert_allclose(sums, np.ones(n), atol=1e-12)
 
 
 def test_segment_softmax_shift_invariance():
     idx = small_index()
     rng = np.random.default_rng(3)
-    logits = rng.standard_normal((idx.num_entries, 1))
-    base = engine.segment_softmax(Tensor(logits), idx).values
-    shifted = engine.segment_softmax(Tensor(logits + 500.0), idx).values
+    # positive scores: every leaky logit is the plain sum, so a shift of
+    # one side shifts every logit alike
+    left, right = rng.random((3, 1)) + 0.1, rng.random((3, 1)) + 0.1
+    base = edge_softmax(Tensor(left), Tensor(right), idx, "leaky").values
+    shifted = edge_softmax(Tensor(left + 500.0), Tensor(right), idx, "leaky").values
     np.testing.assert_allclose(base, shifted, atol=1e-12)
-    extreme = engine.segment_softmax(Tensor(logits * 1e4), idx).values
-    assert np.all(np.isfinite(extreme))
+    extreme = Tensor(left * 1e4)
+    for r, kind in ((extreme, "agree"), (Tensor(-right * 1e4), "leaky")):
+        assert np.all(np.isfinite(edge_softmax(extreme, r, idx, kind).values))
+
+
+def test_edge_softmax_rejects_bad_operands():
+    idx = small_index()
+    with pytest.raises(EngineError, match="edge_softmax"):
+        edge_softmax(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))), idx, "leaky")
+    with pytest.raises(EngineError, match="edge_softmax"):
+        edge_softmax(Tensor(np.ones((4, 1))), Tensor(np.ones((4, 1))), idx, "agree")
+    with pytest.raises(EngineError, match="kind"):
+        edge_softmax(Tensor(np.ones((3, 1))), Tensor(np.ones((3, 1))), idx, "relu")
+
+
+def test_segment_indices_compare_by_identity():
+    src, dst = np.array([1, 2, 0]), np.array([0, 0, 2])
+    a, b = build_segment_index(src, dst, 3), build_segment_index(src, dst, 3)
+    assert a != b and a == a
+    assert len({a, b, a}) == 2
 
 
 @pytest.mark.parametrize("src,dst,n", [
@@ -428,11 +467,12 @@ def test_head_blocks_are_built_once_and_share_data():
 def test_segment_softmax_columns_are_independent():
     rng = np.random.default_rng(16)
     idx = build_segment_index(rng.integers(0, 7, 20), rng.integers(0, 7, 20), 7)
-    logits = rng.standard_normal((idx.num_entries, 3)) * 4
-    got = engine.segment_softmax(Tensor(logits), idx).values
-    for k in range(3):
-        np.testing.assert_allclose(got[:, k], loop_segment_softmax(logits[:, k], idx),
-                                   atol=1e-12)
+    left, right = rng.standard_normal((7, 3)) * 4, rng.standard_normal((7, 3)) * 4
+    for kind in ("agree", "leaky"):
+        got = edge_softmax(Tensor(left), Tensor(right), idx, kind).values
+        for k in range(3):
+            np.testing.assert_allclose(
+                got[:, k], loop_edge_softmax(left[:, k], right[:, k], idx, kind), atol=1e-12)
 
 
 def test_head_project_matches_loop():
@@ -454,39 +494,59 @@ def test_spmm_rejects_mismatched_operands():
         spmm(Tensor(np.ones((6, 1))), Tensor(np.ones((4, 2))), idx)
 
 
-def test_gather_rows_and_pick_scatter_match_add_at():
+def test_edge_softmax_and_log_sum_scatters_match_add_at():
+    # repeated (target, source) pairs and repeated rows and entries: each
+    # backward scatter adds in entry order, as np.add.at does
     rng = np.random.default_rng(13)
-    x = leaf(rng.standard_normal((5, 3)))
+    src, dst = np.array([1, 1, 2, 3, 3, 0, 4]), np.array([0, 0, 0, 2, 2, 4, 1])
+    idx = build_segment_index(src, dst, 5)
+    starts = idx.offsets[:-1]
+    g = rng.standard_normal((idx.num_entries, 2))
+    left, right = leaf(rng.standard_normal((5, 2))), leaf(rng.standard_normal((5, 2)))
+    for kind in ("agree", "leaky"):
+        with GradTape():
+            y = edge_softmax(left, right, idx, kind)
+            grads = backward(reduce_sum(mul(y, g)))
+        g_logit = y.values * (g - np.add.reduceat(g * y.values, starts, axis=0)[idx.targets])
+        lt, rs = left.values[idx.targets], right.values[idx.sources]
+        if kind == "agree":
+            g_left, g_right = -g_logit * np.sign(lt - rs), g_logit * np.sign(lt - rs)
+        else:
+            g_left = g_right = g_logit * np.where(lt + rs > 0, 1.0, 0.2)
+        for x, by, gx in ((left, idx.targets, g_left), (right, idx.sources, g_right)):
+            want = np.zeros((5, 2))
+            np.add.at(want, by, gx)
+            np.testing.assert_array_equal(grads[x], want)
+
+    x = leaf(rng.uniform(0.5, 2.0, (5, 3)))
     rows = np.array([4, 0, 4, 4, 2, 0])
     cols = np.array([1, 2, 1, 0, 2, 2])
-    g_rows = rng.standard_normal((len(rows), 3))
-    g_pick = rng.standard_normal((len(rows), 1))
     with GradTape():
-        grads = backward(reduce_sum(mul(gather_rows(x, rows), g_rows)))
+        grads = backward(log_sum(x, rows, None, -0.3))
     want = np.zeros((5, 3))
-    np.add.at(want, rows, g_rows)
+    np.add.at(want, rows, -0.3 / x.values[rows])
     np.testing.assert_array_equal(grads[x], want)
     with GradTape():
-        grads = backward(reduce_sum(mul(pick(x, rows, cols), g_pick)))
+        grads = backward(log_sum(x, rows, cols, -0.3))
     want = np.zeros((5, 3))
-    np.add.at(want, (rows, cols), g_pick[:, 0])
+    np.add.at(want, (rows, cols), -0.3 / x.values[rows, cols])
     np.testing.assert_array_equal(grads[x], want)
 
 
 def test_gather_rows_scatter_add_backward():
-    x = leaf(np.arange(8, dtype=float).reshape(4, 2))
-    idx = np.array([0, 2, 0])
+    # log_sum over whole rows gathers x[rows]
+    x = leaf(np.ones((4, 2)))
     with GradTape():
-        grads = backward(reduce_sum(gather_rows(x, idx)))
-    # row 0 picked twice, row 2 once, others never
+        grads = backward(log_sum(x, np.array([0, 2, 0]), None, 1.0))
+    # row 0 taken twice, row 2 once, others never; d log(v) / dv = 1 at v = 1
     np.testing.assert_array_equal(grads[x], [[2, 2], [0, 0], [1, 1], [0, 0]])
 
 
 def test_pick_entries_backward():
-    x = leaf(np.zeros((3, 3)))
+    # log_sum over entries picks x[rows[i], cols[i]]
+    x = leaf(np.ones((3, 3)))
     with GradTape():
-        y = pick(x, np.array([0, 0, 2]), np.array([1, 1, 2]))
-        grads = backward(reduce_sum(y))
+        grads = backward(log_sum(x, np.array([0, 0, 2]), np.array([1, 1, 2]), 1.0))
     want = np.zeros((3, 3))
     want[0, 1] = 2.0
     want[2, 2] = 1.0
@@ -567,17 +627,20 @@ def test_gradcheck_smooth_pointwise_ops():
     params = {"x": x, "y": y}
 
     check(lambda: reduce_sum(add(x, y)), params)
-    check(lambda: reduce_sum(sub(x, y)), params)
     check(lambda: reduce_sum(mul(x, y)), params)
-    check(lambda: reduce_sum(div(x, y)), params)
     check(lambda: reduce_sum(scale(x, -1.7)), params)
     check(lambda: reduce_sum(sigmoid(x)), params)
-    check(lambda: reduce_sum(log(y)), params)
-    check(lambda: reduce_sum(sqrt(y)), params)
-    check(lambda: reduce_mean(mul(x, x)), params)
-    check(lambda: reduce_sum(row_sum(mul(x, y))), params)
     check(lambda: reduce_sum(row_softmax(x)), params)
     check(lambda: reduce_sum(mul(row_softmax(x), y)), params)
+    check(lambda: log_sum(y, np.array([0, 2, 2]), np.array([1, 0, 3]), -0.5), params)
+    check(lambda: log_sum(row_softmax(x), np.array([1, 2]), None, 0.3), params)
+    check(lambda: reduce_sum(mul(row_entropy(row_softmax(x)), Tensor([[1.0], [-2.0], [0.5]]))),
+          params)
+    col = Tensor([[0.3], [-1.2], [2.0]])
+    check(lambda: reduce_sum(mul(standardize(row_entropy(y), 1e-12), col)), params)
+    check(lambda: reduce_sum(mul(standardize(row_entropy(y), 1e3), col)), params)
+    check(lambda: weighted_sum(reduce_sum(x), [reduce_sum(mul(x, y)), reduce_sum(y)],
+                               [0.7, -2.0], 0.4), params)
 
 
 def pointwise_grid():
@@ -619,9 +682,7 @@ def test_gradcheck_piecewise_ops_away_from_kinks():
     base = rng.uniform(0.2, 2.0, (3, 4)) * np.where(rng.random((3, 4)) < 0.5, -1, 1)
     x = leaf(base)
     params = {"x": x}
-    check(lambda: reduce_sum(mul(absolute(x), x)), params, tol=1e-4)
     check(lambda: reduce_sum(relu(x)), params, tol=1e-4)
-    check(lambda: reduce_sum(leaky_relu(x, 0.2)), params, tol=1e-4)
     check(lambda: reduce_sum(elu(x)), params, tol=1e-4)
 
 
@@ -638,33 +699,31 @@ def test_gradcheck_structural_ops():
     x = leaf(rng.standard_normal((5, 3)))
     z = leaf(rng.standard_normal((5, 2)))
     params = {"x": x, "z": z}
-    idx = np.array([0, 3, 3, 1])
-    rows = np.array([0, 2, 2])
-    cols = np.array([1, 0, 2])
-    check(lambda: reduce_sum(gather_rows(x, idx)), params)
-    check(lambda: reduce_sum(mul(gather_rows(x, idx), gather_rows(x, idx))), params)
-    check(lambda: reduce_sum(pick(x, rows, cols)), params)
-    check(lambda: reduce_sum(mul(hstack([x, z]), hstack([x, z]))), params)
     check(lambda: reduce_sum(slice_rows(x, 1, 4)), params)
-    check(lambda: cosine_similarity(pick(x, np.arange(5), np.zeros(5, int)),
-                                    pick(z, np.arange(5), np.ones(5, int))), params)
+    check(lambda: reduce_sum(mul(slice_rows(x, 1, 4), slice_rows(x, 0, 3))), params)
+    check(lambda: cosine_similarity(matmul(x, np.array([[1.0], [0.0], [0.0]])),
+                                    matmul(z, np.array([[0.0], [1.0]]))), params)
 
 
 def test_gradcheck_segment_ops():
     rng = np.random.default_rng(46)
     idx = build_segment_index(rng.integers(0, 6, 12), rng.integers(0, 6, 12), 6)
-    logits = leaf(rng.standard_normal((idx.num_entries, 1)))
+    left = leaf(rng.standard_normal((6, 1)))
     vals = leaf(rng.standard_normal((6, 3)))
     wts = leaf(rng.uniform(0.1, 1.0, (idx.num_entries, 1)))
-    params = {"logits": logits, "vals": vals, "wts": wts}
+    right = leaf(rng.standard_normal((6, 1)))
+    params = {"left": left, "right": right, "vals": vals, "wts": wts}
 
     mixer = rng.standard_normal((6, 3))  # weighs output rows unevenly
-    check(lambda: reduce_sum(mul(engine.segment_softmax(logits, idx),
-                                 Tensor(np.arange(idx.num_entries, dtype=float)[:, None]))),
-          params)
+    entry_weights = Tensor(np.arange(idx.num_entries, dtype=float)[:, None])
+    for kind in ("agree", "leaky"):
+        check(lambda: reduce_sum(mul(edge_softmax(left, right, idx, kind), entry_weights)),
+              params, tol=1e-4)
+    check(lambda: reduce_sum(mul(edge_softmax(left, left, idx, "agree"), entry_weights)),
+          params, tol=1e-4)
     check(lambda: reduce_sum(mul(spmm(wts, vals, idx), mixer)), params)
-    check(lambda: reduce_sum(mul(spmm(engine.segment_softmax(logits, idx), vals, idx),
-                                 mixer)), params)
+    check(lambda: reduce_sum(mul(spmm(edge_softmax(left, right, idx, "leaky"), vals, idx),
+                                 mixer)), params, tol=1e-4)
 
 
 def test_gradcheck_dropout_with_fixed_mask():

@@ -4,6 +4,8 @@ Homophily expectations are hand-enumerated; the vectorized implementation
 is also compared against a plain-loop reference on random graphs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,36 @@ def test_bundle_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(g.labels, g2.labels)
     np.testing.assert_array_equal(g.identity, g2.identity)
     assert np.array_equal(g.features, g2.features)  # bit-exact via repr round-trip
+
+
+def test_bundle_write_that_raises_keeps_the_previous_files(tmp_path):
+    g = triangle([0, 1, 1])
+    save_graph_bundle(g, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class RaisingRows:
+        # yields one feature row, then fails mid-file
+        def __iter__(self):
+            yield np.array([5.0, 6.0])
+            raise RuntimeError("row failed")
+
+    changed = replace(g, edges=np.array([[0, 1]]), features=RaisingRows())
+    with pytest.raises(RuntimeError, match="row failed"):
+        save_graph_bundle(changed, tmp_path)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)  # no temp file left behind
+    assert after["edges.tsv"] == b"0\t1\n"  # written whole before the failure
+    assert after["features.csv"] == before["features.csv"]
+    assert after["labels.tsv"] == before["labels.tsv"]
+
+
+def test_graphs_compare_and_hash_by_identity():
+    g, same_edges = triangle([0, 1, 1]), triangle([0, 1, 1])
+    assert g != same_edges and g == g
+    assert len({g, same_edges, g}) == 2
+    assert hash(g) == hash(g)
+    index = g.index
+    assert g.index is index  # built once, then kept with the graph
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,57 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def engine_references(source: str, names: set[str]) -> set[str]:
+    """Names from `names` that a module reads as `engine.<name>` or as a
+    name imported from the engine, outside a gradcheck battery line
+    `check("<name>", ...)` or `check("<name>_<form>", ...)` of that name."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("engine")
+                for alias in node.names if alias.name in names}
+    own_check: dict[int, str] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "check" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            for inner in ast.walk(node):
+                own_check[id(inner)] = node.args[0].value
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "engine"):
+            name = node.attr
+        elif isinstance(node, ast.Name) and node.id in imported:
+            name = node.id
+        else:
+            continue
+        check_name = own_check.get(id(node), "")
+        if check_name != name and not check_name.startswith(name + "_"):
+            found.add(name)
+    return found
+
+
+def public_engine_functions() -> set[str]:
+    tree = ast.parse((ROOT / "src" / "oodgat" / "engine.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def test_engine_references_skip_the_own_check_line():
+    source = ("from .engine import spmm\n"
+              "check('add', lambda: engine.add(a, engine.mul(a, b)))\n"
+              "check('sub_heads', lambda: engine.sub(a, b))\n"
+              "check('spmm', lambda: spmm(w, h, index))\n")
+    assert engine_references(source, {"add", "mul", "sub", "spmm"}) == {"mul"}
+
+
+def test_every_engine_function_is_used_by_the_program():
+    names = public_engine_functions()
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name != "engine.py":
+            used |= engine_references(path.read_text(), names)
+    assert sorted(names - used) == []

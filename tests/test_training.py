@@ -1,11 +1,14 @@
 """Trainer tests: optimizer closed forms, early stopping, determinism,
 and the end-to-end separable-graph pipeline."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oodgat.errors import ConfigError, TrainingAbort
-from oodgat.engine import Tensor
+from oodgat.engine import Tensor, backward
 from oodgat.graphs import SbmSpec, make_splits, sbm_generate
 from oodgat.layers import ModelConfig, graph_index, model_forward
 from oodgat.losses import LossBreakdown, LossWeights
@@ -240,6 +243,29 @@ def test_step_records_are_one_based_and_contiguous(sbm_case):
     model = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=8)
     _, history = train(model, graph, splits, TrainConfig(max_steps=7, seed=0))
     assert [s.step for s in history.steps] == list(range(1, 8))
+
+
+@pytest.mark.parametrize("arch,nodes", [("oodgat", [27, 28]), ("gat", [19, 19])])
+def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
+    # the quick-start spec, two steps: oodgat with all three regularizers
+    # (at step 1 every score is 0.5, so the entropy term selects no node
+    # and records nothing), gat on cross-entropy alone
+    from oodgat.experiments import parse_spec, resolve_graph
+
+    spec = parse_spec(Path(__file__).resolve().parents[1] / "specs" / "sbm-demo.spec")
+    graph = resolve_graph(spec.dataset)
+    cfg = replace(spec.train, max_steps=2)
+    if arch == "gat":
+        cfg = replace(cfg, loss_weights=LossWeights())
+    lengths = []
+
+    def counting_backward(loss):
+        lengths.append(loss.tape_id + 1)
+        return backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    train(replace(spec.model, architecture=arch), graph, make_splits(graph, seed=0), cfg)
+    assert lengths == nodes
 
 
 # ---------------------------------------------------------------------------
