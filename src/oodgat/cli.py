@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--spec", type=Path, help="INI experiment spec file")
     common.add_argument("--out", type=Path, help="output directory")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel training processes (default 1)")
+                        help="parallel training processes, at most one per run "
+                             "(default 1)")
     common.add_argument("--seed-base", type=int, default=0,
                         help="base of the split/run seeding scheme (default 0)")
 

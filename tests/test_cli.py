@@ -110,6 +110,17 @@ def test_broken_spec_reports_error_kind(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_single_error_line(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    code = main(["train-eval", "--spec", str(tiny_spec(tmp_path)), "--out", str(out),
+                 "--workers", workers])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR ConfigError: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_spec_name_must_match_subcommand(tmp_path, capsys):
     spec = tiny_spec(tmp_path, name="gridsearch")
     code = main(["train-eval", "--spec", str(spec), "--out", str(tmp_path / "o")])

@@ -1,10 +1,16 @@
 """Harness tests: spec parsing, seeding, runners, and report exports."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oodgat import experiments
 from oodgat.errors import ConfigError
 from oodgat.experiments import (
     RunRecord,
@@ -291,6 +297,109 @@ def test_text_table_lists_conditions():
     assert lines[0].startswith("condition")
     assert "accuracy" in lines[0]
     assert lines[2].startswith("m ") and "+-" in lines[2]
+
+
+EDGE_FLOATS = (np.inf, -0.0, 5e-324, 1e16, 0.1, -np.inf, np.nan, 1.0 / 3.0, 0.0)
+
+
+def test_curve_and_history_lines_format_values_as_fmt():
+    points = np.array(EDGE_FLOATS).reshape(3, 3)
+    assert "".join(experiments._curve_lines(points)).splitlines()[1:] == [
+        ",".join(experiments._fmt(x) for x in row) for row in points]
+    rows = [(7, *EDGE_FLOATS), (8, *(np.float64(x) for x in EDGE_FLOATS[::-1]))]
+    assert "".join(experiments._history_lines(rows)).splitlines() == [
+        ",".join(experiments.HISTORY_COLUMNS),
+        *(",".join([str(r[0])] + [experiments._fmt(x) for x in r[1:]]) for r in rows)]
+    assert list(experiments._history_lines([])) == [
+        ",".join(experiments.HISTORY_COLUMNS) + "\n"]
+
+
+# ---------------------------------------------------------------------------
+# process memory and the worker pool
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# six (10000, 64) arrays live at once, freed, ten times; the minor page
+# faults of those rounds after one warm-up round are printed
+FAULT_PROBE = """import resource
+import numpy as np
+from oodgat.experiments import _retain_freed_memory
+_retain_freed_memory()
+_retain_freed_memory()
+def rounds(k):
+    for _ in range(k):
+        held = [np.ones((10000, 64)) for _ in range(6)]
+        del held
+rounds(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds(10)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_retained_memory_is_reused_without_page_faults():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 100
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, maps in
+    this process and starts nothing."""
+    made: list[dict] = []
+
+    def __init__(self, max_workers, initializer=None):
+        RecordingPool.made.append({"max_workers": max_workers,
+                                   "initializer": initializer})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.made = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_run_single", lambda task: ("ran", task))
+    return RecordingPool.made
+
+
+def test_pool_holds_no_more_workers_than_tasks(recording_pool):
+    tasks = ["a", "b", "c", "d"]
+    ran = [("ran", t) for t in tasks]
+    assert experiments.execute_tasks(tasks, workers=64) == ran
+    assert experiments.execute_tasks(tasks, workers=3) == ran
+    assert recording_pool == [
+        {"max_workers": 4, "initializer": experiments._retain_freed_memory},
+        {"max_workers": 3, "initializer": experiments._retain_freed_memory}]
+    # one task, or one worker, runs in this process
+    assert experiments.execute_tasks(["a"], workers=8) == [("ran", "a")]
+    assert experiments.execute_tasks(tasks, workers=1) == ran
+    assert experiments.execute_tasks([], workers=8) == []
+    assert len(recording_pool) == 2
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(recording_pool, workers):
+    with pytest.raises(ConfigError, match="workers must be at least 1"):
+        experiments.execute_tasks(["a"], workers=workers)
+    assert recording_pool == []
 
 
 # ---------------------------------------------------------------------------
