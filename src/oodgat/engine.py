@@ -671,17 +671,8 @@ def spmm(weights, h, index: SegmentIndex) -> Tensor:
 class GradCheckReport:
     passed: bool
     tol: float
-    step: float
     worst: float
     per_param: dict[str, float]
-
-    def lines(self) -> list[str]:
-        out = []
-        for name, err in sorted(self.per_param.items()):
-            mark = "ok" if err <= self.tol else "FAIL"
-            out.append(f"{mark:4s} {name:24s} max_rel_err={err:.3e}")
-        out.append(f"{'PASS' if self.passed else 'FAIL'} worst={self.worst:.3e} tol={self.tol:.1e}")
-        return out
 
 
 def grad_check(build_fn: Callable[[], Tensor], params: dict[str, Tensor],
@@ -725,5 +716,4 @@ def grad_check(build_fn: Callable[[], Tensor], params: dict[str, Tensor],
         per_param[name] = float((np.abs(analytic - numeric) / denom).max()) if flat.size else 0.0
 
     worst = max(per_param.values(), default=0.0)
-    return GradCheckReport(passed=worst <= tol, tol=tol, step=step,
-                           worst=worst, per_param=per_param)
+    return GradCheckReport(passed=worst <= tol, tol=tol, worst=worst, per_param=per_param)

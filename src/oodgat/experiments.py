@@ -14,9 +14,10 @@ import configparser
 import csv
 import ctypes
 import io
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .graphs import (
 )
 from .layers import ModelConfig, graph_index, init_params, model_forward
 from .losses import LossWeights, compute_objective
-from .training import TrainConfig, expand_space, apply_assignment, train
+from .training import TrainConfig, train
 
 EXPERIMENT_NAMES = ("train-eval", "edge-ablation", "smoothing-roc", "ablate-losses",
                     "gridsearch", "gen-sbm", "gradcheck", "homophily-check")
@@ -122,48 +123,112 @@ class ExperimentSpec:
     config: dict = field(default_factory=dict)   # resolved, JSON-ready
 
 
-def _num(token: str):
+# spec sections that set config dataclass fields: each field is a key of
+# its section, read as the field's annotated type, except the fields that
+# the data or the run decides
+_CONFIG_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossWeights}
+_NOT_IN_SPECS = {"num_classes", "loss_weights", "seed"}
+_SECTION_KEYS = {name: {f.name: f.type for f in fields(cls) if f.name not in _NOT_IN_SPECS}
+                 for name, cls in _CONFIG_SECTIONS.items()}
+# a grid key is any section key but the architecture: key -> (section, type)
+_GRID_KEYS = {key: (name, kind) for name, keys in _SECTION_KEYS.items()
+              for key, kind in keys.items() if key != "architecture"}
+_SBM_KEYS = {f.name: f.type for f in fields(SbmSpec)}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_READERS = {"int": int, "float": float, "str": str, "bool": lambda t: _BOOLS[t.lower()]}
+
+
+def _value(key: str, token: str, kind: str):
+    """A spec token read as `kind`, the annotation of the field `key` sets."""
     token = token.strip()
     try:
-        return int(token)
-    except ValueError:
-        try:
-            return float(token)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {token!r}") from None
+        value = _READERS[kind](token)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {kind}, got {token!r}") from None
+    if kind == "float" and not np.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite float, got {token!r}")
+    return value
 
 
-def _bool(token: str) -> bool:
-    low = token.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {token!r}")
+def _int_list(key: str, token: str) -> list[int]:
+    return [_value(key, p, "int") for p in token.split(",") if p.strip()]
 
 
-def _int_list(token: str) -> list[int]:
-    return [int(p) for p in token.split(",") if p.strip()]
-
-
-def _grid_value(token: str):
-    """Grid candidates are numbers where possible, bare strings otherwise."""
-    token = token.strip()
-    try:
-        return _num(token)
-    except ConfigError:
-        return token
-
-
-def _section(parser: configparser.ConfigParser, name: str,
-             allowed: set[str]) -> dict[str, str]:
+def _section(parser: configparser.ConfigParser, name: str, allowed) -> dict[str, str]:
     if not parser.has_section(name):
         return {}
     items = dict(parser.items(name))
-    unknown = set(items) - allowed
+    unknown = items.keys() - set(allowed)
     if unknown:
         raise ConfigError(f"[{name}] has unknown key(s): {sorted(unknown)}")
     return items
+
+
+def _config(parser: configparser.ConfigParser, name: str, **fixed):
+    """The config dataclass of a spec section: its keys over the defaults."""
+    keys = _SECTION_KEYS[name]
+    items = _section(parser, name, keys)
+    values = {k: _value(k, v, keys[k]) for k, v in items.items()}
+    return _CONFIG_SECTIONS[name](**fixed, **values)
+
+
+def _grid_field(key: str) -> tuple[str, str]:
+    """(section, type) of a grid key."""
+    if key not in _GRID_KEYS:
+        raise ConfigError(f"unknown grid field {key!r}; grid keys are the [model] "
+                          "(but architecture), [train] and [loss] keys")
+    return _GRID_KEYS[key]
+
+
+def _grid_candidates(key: str, text: str) -> list:
+    """A grid key's candidates as cell labels and the report header show
+    them: numbers as read, an int literal kept an int, text as written.
+    Each must read as the key's type, and no two as the same value."""
+    kind = _grid_field(key)[1]
+    shown, values = [], []
+    for token in (t.strip() for t in text.split(",")):
+        if not token:
+            continue
+        value = _value(key, token, kind)
+        if value in values:
+            raise ConfigError(f"grid field {key!r} lists the value {token!r} twice")
+        values.append(value)
+        if isinstance(value, (bool, str)):
+            shown.append(token)
+            continue
+        try:
+            shown.append(int(token))
+        except ValueError:
+            shown.append(value)
+    return shown
+
+
+def expand_space(space: dict[str, list]) -> list[dict]:
+    """Cartesian product of a {field: candidates} grid, in lexicographic
+    order of the sorted field names."""
+    if not space:
+        raise ConfigError("grid space is empty")
+    keys = sorted(space)
+    for key in keys:
+        if not space[key]:
+            raise ConfigError(f"grid field {key!r} has no candidate values")
+    return [dict(zip(keys, combo))
+            for combo in itertools.product(*(space[k] for k in keys))]
+
+
+def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
+                     assignment: dict) -> tuple[ModelConfig, TrainConfig]:
+    """The configs of one grid cell: each value, read as its field's type,
+    replaces that field of the model, train or loss config."""
+    over: dict[str, dict] = {name: {} for name in _CONFIG_SECTIONS}
+    for key, shown in assignment.items():
+        section, kind = _grid_field(key)
+        over[section][key] = _value(key, str(shown), kind)
+    weights = replace(train_cfg.loss_weights, **over["loss"])
+    return (replace(model, **over["model"]),
+            replace(train_cfg, loss_weights=weights, **over["train"]))
 
 
 def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
@@ -171,6 +236,8 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
 
     The dataset is loaded once here so the ID class count (and with it
     the classifier width) comes from the data rather than the file.
+    Every grid cell's configs are built here too, so a bad cell fails at
+    load.
     """
     path = Path(path)
     if not path.is_file():
@@ -181,28 +248,24 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     except configparser.Error as exc:
         raise ConfigError(f"bad spec file {path}: {exc}") from None
 
-    known_sections = {"experiment", "dataset", "model", "train", "loss", "grid"}
+    known_sections = {"experiment", "dataset", "grid", *_CONFIG_SECTIONS}
     unknown = set(parser.sections()) - known_sections
     if unknown:
         raise ConfigError(f"unknown section(s) in {path}: {sorted(unknown)}")
 
     exp = _section(parser, "experiment", {"name", "splits", "seeds_per_split"})
-    name = exp.get("name", expected_name)
+    name = exp.pop("name", expected_name)
     if name is None:
         raise ConfigError("experiment name missing: put name= under [experiment]")
     if expected_name is not None and name != expected_name:
         raise ConfigError(f"spec names experiment {name!r} but {expected_name!r} was requested")
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}; valid: {EXPERIMENT_NAMES}")
-    splits = int(exp.get("splits", 3))
-    seeds_per_split = int(exp.get("seeds_per_split", 3))
-    if splits < 1 or seeds_per_split < 1:
+    counts = {k: _value(k, v, "int") for k, v in exp.items()}
+    if min(counts.values(), default=1) < 1:
         raise ConfigError("splits and seeds_per_split must be >= 1")
 
-    ds = _section(parser, "dataset",
-                  {"kind", "path", "ood_classes", "classes", "nodes_per_class",
-                   "p_intra", "p_inter", "feature_dim", "class_mean_separation",
-                   "seed"})
+    ds = _section(parser, "dataset", {"kind", "path", "seed", *_SBM_KEYS})
     if not ds:
         raise ConfigError("spec needs a [dataset] section")
     kind = ds.get("kind")
@@ -212,83 +275,45 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
         bundle = Path(ds["path"])
         if not bundle.is_absolute():
             bundle = path.parent / bundle
-        ood = tuple(sorted(_int_list(ds["ood_classes"])))
+        ood = tuple(sorted(_int_list("ood_classes", ds["ood_classes"])))
         recipe = ("bundle", str(bundle), ood)
         dataset_cfg = {"kind": "bundle", "path": str(bundle), "ood_classes": list(ood)}
     elif kind == "sbm":
-        needed = {"classes", "nodes_per_class", "p_intra", "p_inter",
-                  "feature_dim", "class_mean_separation", "ood_classes"}
-        missing = needed - set(ds)
+        missing = _SBM_KEYS.keys() - ds.keys()
         if missing:
             raise ConfigError(f"[dataset] kind=sbm missing key(s): {sorted(missing)}")
-        sbm = SbmSpec(classes=int(ds["classes"]),
-                      nodes_per_class=int(ds["nodes_per_class"]),
-                      p_intra=float(ds["p_intra"]), p_inter=float(ds["p_inter"]),
-                      feature_dim=int(ds["feature_dim"]),
-                      class_mean_separation=float(ds["class_mean_separation"]),
-                      ood_classes=frozenset(_int_list(ds["ood_classes"])))
-        recipe = ("sbm", sbm, int(ds.get("seed", 0)))
-        dataset_cfg = {"kind": "sbm", "classes": sbm.classes,
-                       "nodes_per_class": sbm.nodes_per_class,
-                       "p_intra": sbm.p_intra, "p_inter": sbm.p_inter,
-                       "feature_dim": sbm.feature_dim,
-                       "class_mean_separation": sbm.class_mean_separation,
-                       "ood_classes": sorted(sbm.ood_classes),
-                       "seed": int(ds.get("seed", 0))}
+        sbm = SbmSpec(**{k: _value(k, ds[k], t) for k, t in _SBM_KEYS.items()
+                         if k != "ood_classes"},
+                      ood_classes=frozenset(_int_list("ood_classes", ds["ood_classes"])))
+        seed = _value("seed", ds["seed"], "int") if "seed" in ds else 0
+        recipe = ("sbm", sbm, seed)
+        dataset_cfg = {"kind": "sbm", **asdict(sbm),
+                       "ood_classes": sorted(sbm.ood_classes), "seed": seed}
     else:
         raise ConfigError("[dataset] kind must be 'bundle' or 'sbm'")
 
     graph = resolve_graph(recipe)
     num_classes = int((np.unique(graph.labels[graph.identity == 0])).size)
-
-    mo = _section(parser, "model", {"architecture", "heads", "hidden_dim", "activation"})
-    model = ModelConfig(architecture=mo.get("architecture", "gcn"),
-                        num_classes=num_classes,
-                        hidden_dim=int(mo.get("hidden_dim", 0)),
-                        heads=int(mo.get("heads", 1)),
-                        activation=mo.get("activation", "elu"))
-
-    lo = _section(parser, "loss", {"beta", "gamma", "zeta", "epsilon", "a", "b",
-                                   "detach_consistency_target"})
-    loss_kwargs = {k: float(v) for k, v in lo.items()
-                   if k != "detach_consistency_target"}
-    if "detach_consistency_target" in lo:
-        loss_kwargs["detach_consistency_target"] = _bool(lo["detach_consistency_target"])
-    weights = LossWeights(**loss_kwargs)
-
-    tr = _section(parser, "train", {"lr", "weight_decay", "dropout_p",
-                                    "drop_edge_p", "max_steps", "patience"})
-    train_cfg = TrainConfig(lr=float(tr.get("lr", 0.01)),
-                            weight_decay=float(tr.get("weight_decay", 5e-4)),
-                            dropout_p=float(tr.get("dropout_p", 0.0)),
-                            drop_edge_p=float(tr.get("drop_edge_p", 0.0)),
-                            max_steps=int(tr.get("max_steps", 1000)),
-                            patience=int(tr.get("patience", 200)),
-                            loss_weights=weights)
+    model = _config(parser, "model", num_classes=num_classes)
+    train_cfg = _config(parser, "train", loss_weights=_config(parser, "loss"))
 
     grid = None
     if parser.has_section("grid"):
-        grid = {k: [_grid_value(tok) for tok in v.split(",") if tok.strip()]
-                for k, v in parser.items("grid")}
-        expand_space(grid)  # validates field names and non-emptiness
+        grid = {k: _grid_candidates(k, v) for k, v in parser.items("grid")}
+        for cell in expand_space(grid):
+            apply_assignment(model, train_cfg, cell)
 
-    config = {
-        "experiment": name, "splits": splits, "seeds_per_split": seeds_per_split,
-        "dataset": dataset_cfg,
-        "model": {"architecture": model.architecture, "num_classes": model.num_classes,
-                  "hidden_dim": model.hidden_dim, "heads": model.heads,
-                  "activation": model.activation},
-        "train": {"lr": train_cfg.lr, "weight_decay": train_cfg.weight_decay,
-                  "dropout_p": train_cfg.dropout_p, "drop_edge_p": train_cfg.drop_edge_p,
-                  "max_steps": train_cfg.max_steps, "patience": train_cfg.patience},
-        "loss": {"beta": weights.beta, "gamma": weights.gamma, "zeta": weights.zeta,
-                 "epsilon": weights.epsilon, "a": weights.a, "b": weights.b,
-                 "detach_consistency_target": weights.detach_consistency_target},
+    spec = ExperimentSpec(name=name, dataset=recipe, model=model, train=train_cfg,
+                          grid=grid, **counts)
+    spec.config = {
+        "experiment": name, "splits": spec.splits,
+        "seeds_per_split": spec.seeds_per_split, "dataset": dataset_cfg,
+        "model": asdict(model),
+        "train": {k: v for k, v in asdict(train_cfg).items() if k in _SECTION_KEYS["train"]},
+        "loss": asdict(train_cfg.loss_weights),
         "grid": grid,
     }
-    return ExperimentSpec(name=name, dataset=recipe, model=model, train=train_cfg,
-                          splits=splits, seeds_per_split=seeds_per_split,
-                          grid=grid, config=config)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +814,7 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     weights = LossWeights(beta=2.0, gamma=0.05, zeta=0.005, epsilon=0.2)
     idx = graph_index(graph)
 
-    def objective(config, model_params, loss_weights, training=False):
+    def objective(config, model_params, loss_weights, training=None):
         # a fresh identically-seeded rng keeps dropout and drop-edge masks fixed
         return lambda: compute_objective(model_forward(
             config, model_params, graph.features, idx, training=training,
@@ -802,7 +827,7 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
         check(f"full_{arch}_objective", objective(arch_cfg, arch_params, LossWeights()),
               arch_params, 1e-4)
     check("full_oodgat_objective_training", objective(
-        replace(cfg, dropout_p=0.3, drop_edge_p=0.3), params, weights, True), params, 1e-4)
+        cfg, params, weights, TrainConfig(dropout_p=0.3, drop_edge_p=0.3)), params, 1e-4)
     mlp_cfg = ModelConfig(architecture="mlp", num_classes=3, hidden_dim=5)
     mlp_params = init_params(mlp_cfg, 6, rng)
     check("full_mlp_objective", objective(mlp_cfg, mlp_params, LossWeights()),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +26,9 @@ from . import engine
 from .engine import SegmentIndex, Tensor
 from .errors import ConfigError
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 ARCHITECTURES = ("mlp", "gcn", "gat", "oodgat")
 
@@ -35,12 +39,10 @@ DEFAULT_WIDTH = {"mlp": 64, "gcn": 64, "gat": 32, "oodgat": 32}
 
 @dataclass(frozen=True)
 class ModelConfig:
-    architecture: str
     num_classes: int
+    architecture: str = "gcn"
     hidden_dim: int = 0          # 0 = architecture default
     heads: int = 1
-    dropout_p: float = 0.0
-    drop_edge_p: float = 0.0
     activation: str = "elu"
 
     def __post_init__(self):
@@ -52,8 +54,6 @@ class ModelConfig:
             raise ConfigError("heads must be >= 1")
         if self.architecture in ("mlp", "gcn") and self.heads != 1:
             raise ConfigError(f"{self.architecture} has no attention heads; set heads=1")
-        if not 0.0 <= self.dropout_p < 1.0 or not 0.0 <= self.drop_edge_p < 1.0:
-            raise ConfigError("dropout rates must lie in [0, 1)")
         if self.activation not in ("elu", "relu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.hidden_dim < 0:
@@ -222,37 +222,38 @@ def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
 
 
 def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
-                  index: SegmentIndex, training: bool = False,
+                  index: SegmentIndex, training: TrainConfig | None = None,
                   rng: np.random.Generator | None = None) -> ModelOutputs:
     """Two-layer forward pass for any architecture.
 
     `features` may be a dense ndarray or a scipy CSR constant; gradients
-    never flow into it. Dropout and drop-edge fire only when training is
-    True, drawing from `rng` in a fixed order (input dropout, layer-1
-    edges, hidden dropout, layer-2 edges).
+    never flow into it. `training` is the run's TrainConfig in a training
+    pass and None in evaluation. Its dropout and drop-edge rates draw
+    from `rng` in a fixed order (input dropout, layer-1 edges, hidden
+    dropout, layer-2 edges).
     """
-    if training and (config.dropout_p > 0 or config.drop_edge_p > 0) and rng is None:
+    dropout_p = training.dropout_p if training else 0.0
+    drop_edge_p = training.drop_edge_p if training else 0.0
+    if (dropout_p > 0 or drop_edge_p > 0) and rng is None:
         raise ConfigError("training-mode forward needs an rng for dropout draws")
     act = _activation(config.activation)
     arch = config.architecture
 
-    x = features
-    if training and config.dropout_p > 0:
-        x = _input_dropout(x, config.dropout_p, rng)
+    x = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
 
     if arch == "mlp":
         hidden = act(engine.matmul(x, params["l1.W"]))
-        if training and config.dropout_p > 0:
-            hidden = engine.dropout(hidden, config.dropout_p, rng)
+        if dropout_p > 0:
+            hidden = engine.dropout(hidden, dropout_p, rng)
         probs = engine.row_softmax(engine.matmul(hidden, params["l2.W"]))
         return ModelOutputs(probs=probs)
 
-    idx1 = drop_edge(index, config.drop_edge_p, rng) if training else index
+    idx1 = drop_edge(index, drop_edge_p, rng)
     if arch == "gcn":
         hidden = act(gcn_layer(x, idx1, params["l1.W"]))
-        if training and config.dropout_p > 0:
-            hidden = engine.dropout(hidden, config.dropout_p, rng)
-        idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
+        if dropout_p > 0:
+            hidden = engine.dropout(hidden, dropout_p, rng)
+        idx2 = drop_edge(index, drop_edge_p, rng)
         probs = engine.row_softmax(gcn_layer(hidden, idx2, params["l2.W"]))
         return ModelOutputs(probs=probs)
 
@@ -262,9 +263,9 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         edge_attention, l1_attn, l2_attn = oodgat_edge_attention, params["l1.a"], params["l2.a"]
     hidden, w1 = attention_layer(x, idx1, params["l1.W"], l1_attn, edge_attention,
                                  "concat", config.activation)
-    if training and config.dropout_p > 0:
-        hidden = engine.dropout(hidden, config.dropout_p, rng)
-    idx2 = drop_edge(index, config.drop_edge_p, rng) if training else index
+    if dropout_p > 0:
+        hidden = engine.dropout(hidden, dropout_p, rng)
+    idx2 = drop_edge(index, drop_edge_p, rng)
     probs, w2 = attention_layer(hidden, idx2, params["l2.W"], l2_attn, edge_attention,
                                 "average", config.activation)
     return ModelOutputs(probs=probs, w1=w1, w2=w2)

@@ -1,6 +1,4 @@
-"""Full-graph training: Adam, early stopping on the validation composite,
-and the grid vocabulary (which config field each grid key sets) that the
-gridsearch experiment expands.
+"""Full-graph training: Adam and early stopping on the validation composite.
 
 One "step" is one gradient update computed on the whole graph
 (transductive full-batch training). After every update the model is
@@ -11,8 +9,7 @@ has gone `patience` consecutive steps without a new maximum.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +71,6 @@ class StepRecord:
 class TrainHistory:
     steps: list[StepRecord]
     best_step: int
-    best_checkpoint: dict[str, np.ndarray]
 
     @property
     def best_composite(self) -> float:
@@ -168,12 +164,10 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
     The seed fixes parameter initialization and every dropout / drop-edge
     draw, so a repeated call is bit-identical.
     """
-    config = replace(model_config, dropout_p=cfg.dropout_p,
-                     drop_edge_p=cfg.drop_edge_p)
     features = graph.model_features
     index = graph_index(graph)
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(config, graph.num_features, rng)
+    params = init_params(model_config, graph.num_features, rng)
     state = init_adam(params)
 
     steps: list[StepRecord] = []
@@ -181,12 +175,11 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
     best_step = 0
     best_checkpoint: dict[str, np.ndarray] = clone_params(params)
     stall = 0
-    stochastic = config.dropout_p > 0 or config.drop_edge_p > 0
 
     for step in range(1, cfg.max_steps + 1):
         with GradTape():
-            out = model_forward(config, params, features, index,
-                                training=True, rng=rng if stochastic else None)
+            out = model_forward(model_config, params, features, index,
+                                training=cfg, rng=rng)
             total, breakdown = compute_objective(out, graph.labels,
                                                  splits.train_mask,
                                                  cfg.loss_weights, t=step - 1)
@@ -198,7 +191,7 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
                  if t in grads_by_tensor}
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay, step)
 
-        out_eval = model_forward(config, params, features, index)
+        out_eval = model_forward(model_config, params, features, index)
         acc, det = validation_scores(out_eval, graph, splits.val_mask)
         composite = acc + det
         steps.append(StepRecord(step=step, losses=breakdown,
@@ -215,45 +208,6 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
                 break
 
     restore_params(params, best_checkpoint)
-    history = TrainHistory(steps=steps, best_step=best_step,
-                           best_checkpoint=best_checkpoint)
-    return TrainedModel(config=config, params=params), history
+    history = TrainHistory(steps=steps, best_step=best_step)
+    return TrainedModel(config=model_config, params=params), history
 
-
-# ---------------------------------------------------------------------------
-# grid search
-
-# which dataclass owns each tunable field
-_MODEL_KEYS = {"heads", "hidden_dim", "activation"}
-_TRAIN_KEYS = {"lr", "weight_decay", "dropout_p", "drop_edge_p",
-               "max_steps", "patience", "seed"}
-_LOSS_KEYS = {f.name for f in fields(LossWeights)}
-
-
-def expand_space(space: dict[str, list]) -> list[dict]:
-    """Cartesian product of a {field: candidates} grid, in lexicographic
-    order of the sorted field names."""
-    if not space:
-        raise ConfigError("grid space is empty")
-    keys = sorted(space)
-    for key in keys:
-        if key not in _MODEL_KEYS | _TRAIN_KEYS | _LOSS_KEYS:
-            raise ConfigError(f"unknown grid field {key!r}")
-        if not space[key]:
-            raise ConfigError(f"grid field {key!r} has no candidate values")
-    return [dict(zip(keys, combo))
-            for combo in itertools.product(*(space[k] for k in keys))]
-
-
-def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
-                     assignment: dict) -> tuple[ModelConfig, TrainConfig]:
-    model_over = {k: v for k, v in assignment.items() if k in _MODEL_KEYS}
-    train_over = {k: v for k, v in assignment.items() if k in _TRAIN_KEYS}
-    loss_over = {k: v for k, v in assignment.items() if k in _LOSS_KEYS}
-    if model_over:
-        model = replace(model, **model_over)
-    if loss_over:
-        train_over["loss_weights"] = replace(train_cfg.loss_weights, **loss_over)
-    if train_over:
-        train_cfg = replace(train_cfg, **train_over)
-    return model, train_cfg

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, error lines, and output files."""
 
+import configparser
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -108,6 +110,42 @@ def test_broken_spec_reports_error_kind(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR ConfigError: ")
     assert err.count("\n") == 1
+
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "specs" / "sbm-demo.spec"
+
+
+def _demo_numbers():
+    """(section, key) of every scalar number in the demo spec."""
+    parser = configparser.ConfigParser()
+    parser.read_string(DEMO_SPEC.read_text(encoding="utf-8"))
+    found = []
+    for section in parser.sections():
+        for key, value in parser.items(section):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            found.append((section, key))
+    return found
+
+
+@pytest.mark.parametrize("section, key", _demo_numbers(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_non_number_in_demo_spec_is_single_error_line(tmp_path, capsys, section, key):
+    parser = configparser.ConfigParser()
+    parser.read_string(DEMO_SPEC.read_text(encoding="utf-8"))
+    parser[section][key] = "5o"
+    spec = tmp_path / "demo.spec"
+    with spec.open("w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ConfigError: ")
+    assert err.count("\n") == 1
+    assert f" {key}: " in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -616,7 +616,7 @@ def test_cosine_zero_vector_guard():
 
 def check(build_fn, params, tol=1e-6):
     report = grad_check(build_fn, params, step=1e-5, tol=tol)
-    assert report.passed, "\n".join(report.lines())
+    assert report.passed, report.per_param
     return report
 
 

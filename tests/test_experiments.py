@@ -1,5 +1,6 @@
 """Harness tests: spec parsing, seeding, runners, and report exports."""
 
+import configparser
 import ctypes
 import json
 import os
@@ -16,8 +17,10 @@ from oodgat.experiments import (
     RunRecord,
     RunReport,
     aggregate_runs,
+    apply_assignment,
     best_grid_condition,
     clear_graph_cache,
+    expand_space,
     export_report,
     gradcheck_battery,
     parse_spec,
@@ -35,6 +38,10 @@ from oodgat.experiments import (
     run_train_eval,
 )
 from oodgat.graphs import load_graph_bundle
+from oodgat.layers import ModelConfig
+from oodgat.training import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_SPEC = """\
 [experiment]
@@ -184,6 +191,117 @@ def test_parse_spec_grid_section(tmp_path):
                      extra="\n[grid]\nwarp_speed = 9\n")
     with pytest.raises(ConfigError, match="unknown grid field"):
         parse_spec(bad)
+
+
+def test_spec_values_read_as_field_types(tmp_path):
+    spec = parse_spec(write_spec(tmp_path, loss=OODGAT_LOSS
+                                 + "\ndetach_consistency_target = yes"))
+    assert spec.train.loss_weights.detach_consistency_target is True
+    assert spec.config["loss"]["detach_consistency_target"] is True
+    for loss, key in (("detach_consistency_target = maybe", "detach_consistency_target"),
+                      ("epsilon = x", "epsilon"), ("beta = nan", "beta"),
+                      ("zeta = inf", "zeta")):
+        with pytest.raises(ConfigError, match=f"{key}: expected"):
+            parse_spec(write_spec(tmp_path, loss=loss))
+    with pytest.raises(ConfigError, match="max_steps: expected int, got '3.0'"):
+        parse_spec(write_spec(tmp_path, steps="3.0"))
+    with pytest.raises(ConfigError, match="heads: expected int"):
+        parse_spec(write_spec(tmp_path, heads="2.5"))
+
+
+def test_grid_labels_keep_the_written_numbers(tmp_path):
+    spec = parse_spec(write_spec(tmp_path, name="gridsearch", extra=(
+        "\n[grid]\ndropout_p = 0, 0.5\nweight_decay = 0, 5e-5\n"
+        "activation = elu, relu\n")))
+    assert spec.grid == {"dropout_p": [0, 0.5], "weight_decay": [0, 5e-05],
+                         "activation": ["elu", "relu"]}
+    cells = expand_space(spec.grid)
+    assert ",".join(f"{k}={v}" for k, v in cells[0].items()) == \
+        "activation=elu,dropout_p=0,weight_decay=0"
+    model, train_cfg = apply_assignment(spec.model, spec.train, cells[0])
+    assert type(train_cfg.dropout_p) is float and train_cfg.weight_decay == 0.0
+
+
+@pytest.mark.parametrize("line", ["seed = 1, 2", "architecture = gcn, mlp",
+                                  "num_classes = 2, 3", "loss_weights = 1"])
+def test_grid_rejects_fields_no_spec_sets(tmp_path, line):
+    with pytest.raises(ConfigError, match="unknown grid field"):
+        parse_spec(write_spec(tmp_path, name="gridsearch", extra=f"\n[grid]\n{line}\n"))
+
+
+@pytest.mark.parametrize("line, match", [
+    ("heads = 2.0", "heads: expected int, got '2.0'"),
+    ("max_steps = 3.5", "max_steps: expected int"),
+    ("lr = 0.1, fast", "lr: expected float"),
+    ("detach_consistency_target = true, maybe", "detach_consistency_target: expected bool"),
+    ("heads = 1, 0", "heads must be >= 1"),
+    ("dropout_p = 0, 1.5", "dropout rates"),
+    ("lr = 0.1, 1e-1", "twice"),
+    ("detach_consistency_target = true, yes", "twice"),
+    ("dropout_p = 0, 0.0", "twice"),
+])
+def test_bad_grid_cell_fails_at_load(tmp_path, line, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_spec(write_spec(tmp_path, name="gridsearch", extra=f"\n[grid]\n{line}\n"))
+
+
+def test_expand_space_cardinality_matches_tuning_grid():
+    space = {"lr": [0.01, 0.1], "dropout_p": [0.0, 0.5], "heads": [1, 4, 8],
+             "weight_decay": [0.0, 5e-5, 5e-4, 5e-3]}
+    assert len(expand_space(space)) == 48
+
+
+def test_expand_space_rejects_bad_input():
+    with pytest.raises(ConfigError, match="empty"):
+        expand_space({})
+    with pytest.raises(ConfigError, match="no candidate"):
+        expand_space({"lr": []})
+    with pytest.raises(ConfigError, match="unknown grid field"):
+        apply_assignment(ModelConfig(num_classes=3), TrainConfig(), {"learning_rate": 0.1})
+
+
+def test_apply_assignment_routes_fields():
+    model = ModelConfig(architecture="oodgat", num_classes=4, heads=1)
+    cfg = TrainConfig()
+    model2, cfg2 = apply_assignment(model, cfg, {"heads": 8, "lr": 0.1, "beta": 3.0,
+                                                 "detach_consistency_target": "false"})
+    assert model2.heads == 8
+    assert cfg2.lr == 0.1
+    assert cfg2.loss_weights.beta == 3.0
+    assert cfg2.loss_weights.detach_consistency_target is False
+    assert model.heads == 1  # originals untouched
+
+
+COMMITTED_SPECS = sorted((ROOT / "specs").glob("*.spec")) + sorted(
+    (ROOT / "perfbench" / "specs").glob("*.spec"))
+
+
+def _ini(path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(path.read_text(encoding="utf-8"))
+    return parser
+
+
+@pytest.mark.parametrize("spec_file", COMMITTED_SPECS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_committed_spec_parses(tmp_path, spec_file):
+    # the citation bundle may be absent, so every spec is read over the
+    # demo's block-model dataset
+    parser = _ini(spec_file)
+    parser.remove_section("dataset")
+    parser["dataset"] = dict(_ini(ROOT / "specs" / "sbm-demo.spec")["dataset"])
+    copy = tmp_path / spec_file.name
+    with copy.open("w", encoding="utf-8") as fh:
+        parser.write(fh)
+    spec = parse_spec(copy)
+    assert spec.name == parser["experiment"]["name"]
+    if spec_file.name == "cora-gridsearch.spec":
+        cells = expand_space(spec.grid)
+        assert len(cells) == 48
+        configs = [apply_assignment(spec.model, spec.train, c) for c in cells]
+        assert {(m.heads, t.lr, t.dropout_p, t.weight_decay) for m, t in configs} == {
+            (h, lr, dp, wd) for h in (1, 4, 8) for lr in (0.01, 0.1)
+            for dp in (0.0, 0.5) for wd in (0.0, 5e-5, 5e-4, 5e-3)}
 
 
 def test_resolve_graph_caches(tmp_path):
@@ -520,6 +638,17 @@ def test_gridsearch_ranks_cells(tmp_path, outdir):
     cond, score = best_grid_condition(report)
     assert cond == "lr=0.05"
     assert score == report.aggregates["lr=0.05"]["best_val_composite"]["mean"]
+
+
+def test_gridsearch_bool_cells_train_differently(tmp_path, outdir):
+    spec = parse_spec(write_spec(tmp_path, name="gridsearch", steps=6, splits=1, extra=(
+        "\n[grid]\ndetach_consistency_target = true, false\n")))
+    out = outdir / "gs-detach"
+    report = run_gridsearch(spec, seed_base=0, out_dir=out)
+    assert [r.condition for r in report.runs] == ["detach_consistency_target=true",
+                                                  "detach_consistency_target=false"]
+    hist = [(out / "history" / f"{r.run_id}.csv").read_text() for r in report.runs]
+    assert hist[0] != hist[1]
 
 
 def test_gridsearch_needs_grid(tmp_path):

@@ -312,7 +312,7 @@ def test_full_objective_gradcheck_all_terms():
         return total
 
     report = grad_check(build, params, tol=1e-4)
-    assert report.passed, "\n".join(report.lines())
+    assert report.passed, report.per_param
 
 
 def test_backward_linearity_of_summed_losses():

@@ -16,8 +16,6 @@ from oodgat import training
 from oodgat.training import (
     TrainConfig,
     adam_step,
-    apply_assignment,
-    expand_space,
     init_adam,
     train,
     validation_scores,
@@ -148,12 +146,13 @@ def test_same_seed_bitwise_identical_history(sbm_case):
                       max_steps=25, patience=25, seed=11,
                       loss_weights=LossWeights(beta=1.0, gamma=0.05, zeta=0.01))
     model = ModelConfig(architecture="oodgat", num_classes=3, heads=2, hidden_dim=8)
-    _, h1 = train(model, graph, splits, cfg)
-    _, h2 = train(model, graph, splits, cfg)
+    m1, h1 = train(model, graph, splits, cfg)
+    m2, h2 = train(model, graph, splits, cfg)
     assert h1.steps == h2.steps
     assert h1.best_step == h2.best_step
-    for k in h1.best_checkpoint:
-        np.testing.assert_array_equal(h1.best_checkpoint[k], h2.best_checkpoint[k])
+    assert m1.params.keys() == m2.params.keys()
+    for k in m1.params:
+        np.testing.assert_array_equal(m1.params[k].values, m2.params[k].values)
 
 
 def test_different_seeds_differ(sbm_case):
@@ -267,31 +266,3 @@ def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
     train(replace(spec.model, architecture=arch), graph, make_splits(graph, seed=0), cfg)
     assert lengths == nodes
 
-
-# ---------------------------------------------------------------------------
-# grid search
-
-
-def test_expand_space_cardinality_matches_tuning_grid():
-    space = {"lr": [0.01, 0.1], "dropout_p": [0.0, 0.5], "heads": [1, 4, 8],
-             "weight_decay": [0.0, 5e-5, 5e-4, 5e-3]}
-    assert len(expand_space(space)) == 48
-
-
-def test_expand_space_rejects_bad_input():
-    with pytest.raises(ConfigError, match="empty"):
-        expand_space({})
-    with pytest.raises(ConfigError, match="unknown grid field"):
-        expand_space({"learning_rate": [0.1]})
-    with pytest.raises(ConfigError, match="no candidate"):
-        expand_space({"lr": []})
-
-
-def test_apply_assignment_routes_fields():
-    model = ModelConfig(architecture="oodgat", num_classes=4, heads=1)
-    cfg = TrainConfig()
-    model2, cfg2 = apply_assignment(model, cfg, {"heads": 8, "lr": 0.1, "beta": 3.0})
-    assert model2.heads == 8
-    assert cfg2.lr == 0.1
-    assert cfg2.loss_weights.beta == 3.0
-    assert model.heads == 1  # originals untouched
