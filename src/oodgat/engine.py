@@ -267,6 +267,15 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def take_rows(x, rows) -> Tensor:
+    """The rows of x at the index array `rows`, in that order."""
+    v = _values(x)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = Tensor(np.take(v, rows, axis=0))
+    _record(out, (x,), lambda g: (_scatter_rows(g, rows, v.shape[0]),))
+    return out
+
+
 def slice_rows(x, start: int, stop: int) -> Tensor:
     v = _values(x)
     out = Tensor(v[start:stop].copy())
@@ -621,6 +630,10 @@ def head_project(x, a) -> Tensor:
     return out
 
 
+# entries per block of spmm's weight-gradient gather
+_SDDMM_CHUNK = 2048
+
+
 def spmm(weights, h, index: SegmentIndex) -> Tensor:
     """Per head k, A_k @ h_k, where A_k is the index's matrix with data
     weights[:, k] and h_k is the k-th of K column blocks of h.
@@ -647,13 +660,16 @@ def spmm(weights, h, index: SegmentIndex) -> Tensor:
     def bwd(g):
         gw = gh = None
         if _needs_grad(weights):
-            # per head block: gathering all E*K rows at once holds two
-            # (E, K*d) copies and raised the peak memory
+            # all heads at once, _SDDMM_CHUNK entries at a time: gathering
+            # all E entries at once holds two (E, K*d) copies and raised
+            # the peak memory
             gw = np.empty((E, K))
-            for k in range(K):
-                cols = slice(k * d, (k + 1) * d)
-                gw[:, k] = np.einsum("ej,ej->e", np.take(g[:, cols], index.targets, axis=0),
-                                     np.take(hv[:, cols], index.sources, axis=0))
+            g3, h3 = g.reshape(n, K, d), hv.reshape(n, K, d)
+            for start in range(0, E, _SDDMM_CHUNK):
+                stop = start + _SDDMM_CHUNK
+                np.einsum("ekd,ekd->ek", np.take(g3, index.targets[start:stop], axis=0),
+                          np.take(h3, index.sources[start:stop], axis=0),
+                          out=gw[start:stop])
         if _needs_grad(h):
             np.take(flat_w, take, out=A.data)
             gh = (AT @ g.reshape(n * K, d)).reshape(n, K * d)

@@ -39,13 +39,16 @@ from .graphs import (
     relabel_for_training,
     save_graph_bundle,
     sbm_generate,
+    split_classes,
 )
 from .layers import ModelConfig, graph_index, init_params, model_forward
 from .losses import LossWeights, compute_objective
 from .training import TrainConfig, train
 
-EXPERIMENT_NAMES = ("train-eval", "edge-ablation", "smoothing-roc", "ablate-losses",
-                    "gridsearch", "gen-sbm", "gradcheck", "homophily-check")
+# the experiments that train, each on splits drawn by make_splits
+SPLIT_EXPERIMENTS = ("train-eval", "edge-ablation", "smoothing-roc", "ablate-losses",
+                     "gridsearch")
+EXPERIMENT_NAMES = SPLIT_EXPERIMENTS + ("gen-sbm", "gradcheck", "homophily-check")
 
 # seeding scheme: one stream per split, one per (split, seed) pair
 SPLIT_SEED_STRIDE = 7919
@@ -166,12 +169,15 @@ def _section(parser: configparser.ConfigParser, name: str, allowed) -> dict[str,
     return items
 
 
+def _section_values(parser: configparser.ConfigParser, name: str) -> dict:
+    """A config section's keys, each read as its field's type."""
+    keys = _SECTION_KEYS[name]
+    return {k: _value(k, v, keys[k]) for k, v in _section(parser, name, keys).items()}
+
+
 def _config(parser: configparser.ConfigParser, name: str, **fixed):
     """The config dataclass of a spec section: its keys over the defaults."""
-    keys = _SECTION_KEYS[name]
-    items = _section(parser, name, keys)
-    values = {k: _value(k, v, keys[k]) for k, v in items.items()}
-    return _CONFIG_SECTIONS[name](**fixed, **values)
+    return _CONFIG_SECTIONS[name](**fixed, **_section_values(parser, name))
 
 
 def _grid_field(key: str) -> tuple[str, str]:
@@ -218,26 +224,37 @@ def expand_space(space: dict[str, list]) -> list[dict]:
             for combo in itertools.product(*(space[k] for k in keys))]
 
 
-def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
-                     assignment: dict) -> tuple[ModelConfig, TrainConfig]:
-    """The configs of one grid cell: each value, read as its field's type,
-    replaces that field of the model, train or loss config."""
+def _overrides(assignment: dict) -> dict[str, dict]:
+    """A grid cell's values, each read as its field's type, by section."""
     over: dict[str, dict] = {name: {} for name in _CONFIG_SECTIONS}
     for key, shown in assignment.items():
         section, kind = _grid_field(key)
         over[section][key] = _value(key, str(shown), kind)
+    return over
+
+
+def _cell_train(train_cfg: TrainConfig, over: dict[str, dict]) -> TrainConfig:
     weights = replace(train_cfg.loss_weights, **over["loss"])
-    return (replace(model, **over["model"]),
-            replace(train_cfg, loss_weights=weights, **over["train"]))
+    return replace(train_cfg, loss_weights=weights, **over["train"])
+
+
+def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
+                     assignment: dict) -> tuple[ModelConfig, TrainConfig]:
+    """The configs of one grid cell: each value, read as its field's type,
+    replaces that field of the model, train or loss config."""
+    over = _overrides(assignment)
+    return replace(model, **over["model"]), _cell_train(train_cfg, over)
 
 
 def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     """Read an INI spec file and resolve every config object.
 
+    Every section is read and type-checked before the dataset is loaded.
     The dataset is loaded once here so the ID class count (and with it
-    the classifier width) comes from the data rather than the file.
-    Every grid cell's configs are built here too, so a bad cell fails at
-    load.
+    the classifier width) comes from the data rather than the file, and
+    so an experiment that draws splits fails here when the data cannot
+    give them. Every grid cell's configs are built here too, so a bad
+    cell fails at load.
     """
     path = Path(path)
     if not path.is_file():
@@ -292,16 +309,22 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     else:
         raise ConfigError("[dataset] kind must be 'bundle' or 'sbm'")
 
-    graph = resolve_graph(recipe)
-    num_classes = int((np.unique(graph.labels[graph.identity == 0])).size)
-    model = _config(parser, "model", num_classes=num_classes)
+    model_values = _section_values(parser, "model")
     train_cfg = _config(parser, "train", loss_weights=_config(parser, "loss"))
-
-    grid = None
+    grid, cells = None, []
     if parser.has_section("grid"):
         grid = {k: _grid_candidates(k, v) for k, v in parser.items("grid")}
-        for cell in expand_space(grid):
-            apply_assignment(model, train_cfg, cell)
+        cells = [_overrides(cell) for cell in expand_space(grid)]
+        for over in cells:
+            _cell_train(train_cfg, over)
+
+    graph = resolve_graph(recipe)
+    if name in SPLIT_EXPERIMENTS:
+        split_classes(graph)
+    num_classes = int((np.unique(graph.labels[graph.identity == 0])).size)
+    model = ModelConfig(num_classes=num_classes, **model_values)
+    for over in cells:  # a cell's model keys are checked once the class count is known
+        replace(model, **over["model"])
 
     spec = ExperimentSpec(name=name, dataset=recipe, model=model, train=train_cfg,
                           grid=grid, **counts)
@@ -748,8 +771,8 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     oodgat, gcn and gat objectives on a 12-node random graph, the oodgat
     objective once more in training mode (dropout and drop-edge), the
     full mlp objective, the multi-head (K-column) forms of the attention
-    ops, and last the fused edge softmax and objective terms; each later
-    check leaves the earlier draws unchanged."""
+    ops, the fused edge softmax and objective terms, and last the row
+    gather; each later check leaves the earlier draws unchanged."""
     rng = np.random.default_rng(seed)
 
     def t(shape, low=-2.0, high=2.0):
@@ -871,6 +894,8 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
         engine.reduce_sum(a), [engine.reduce_sum(engine.mul(a, b)),
                                engine.cosine_similarity(c1, c2), engine.reduce_sum(b)],
         [2.0, 0.05, 0.005], 0.73), {"a": a, "b": b, "c1": c1, "c2": c2}, 1e-6)
+    check("take_rows", lambda: engine.reduce_sum(engine.mul(
+        engine.take_rows(a, np.array([2, 0, 2])), b)), {"a": a, "b": b}, 1e-6)
     return checks
 
 

@@ -402,8 +402,34 @@ def filter_edges(graph: Graph, keep, removal_fraction: float, seed: int) -> Grap
 # splits
 
 
-def make_splits(graph: Graph, n_train_per_class: int = 20, n_val_per_class: int = 10,
-                seed: int = 0) -> SplitAssignment:
+TRAIN_PER_CLASS = 20
+VAL_PER_CLASS = 10
+
+
+def split_classes(graph: Graph, n_train_per_class: int = TRAIN_PER_CLASS,
+                  n_val_per_class: int = VAL_PER_CLASS) -> list[int]:
+    """The sorted ID classes that `make_splits` draws from, once it is
+    known that it can draw them: every ID class needs n_train_per_class +
+    n_val_per_class nodes, and the OOD nodes must number n_val_per_class
+    per ID class. Raises GraphDataError otherwise."""
+    id_labels = graph.labels[graph.identity == 0]
+    id_classes = sorted(int(c) for c in np.unique(id_labels))
+    if not id_classes:
+        raise GraphDataError("no ID classes present")
+    counts = np.bincount(id_labels)
+    need = n_train_per_class + n_val_per_class
+    for c in id_classes:
+        if counts[c] < need:
+            raise GraphDataError(f"class {c} has {counts[c]} nodes, needs {need} for train+val")
+    n_ood = int(np.count_nonzero(graph.identity == 1))
+    n_val_ood = n_val_per_class * len(id_classes)
+    if n_ood < n_val_ood:
+        raise GraphDataError(f"{n_ood} OOD nodes available, validation needs {n_val_ood}")
+    return id_classes
+
+
+def make_splits(graph: Graph, n_train_per_class: int = TRAIN_PER_CLASS,
+                n_val_per_class: int = VAL_PER_CLASS, seed: int = 0) -> SplitAssignment:
     """Per-class training/validation sampling; everything else is test.
 
     Train takes n_train_per_class nodes from every ID class. Validation
@@ -412,28 +438,19 @@ def make_splits(graph: Graph, n_train_per_class: int = 20, n_val_per_class: int 
     determined by the seed.
     """
     rng = np.random.default_rng(seed)
-    id_classes = sorted(int(c) for c in np.unique(graph.labels[graph.identity == 0]))
-    if not id_classes:
-        raise GraphDataError("no ID classes present")
+    id_classes = split_classes(graph, n_train_per_class, n_val_per_class)
 
     train = np.zeros(graph.num_nodes, dtype=bool)
     val = np.zeros(graph.num_nodes, dtype=bool)
     need = n_train_per_class + n_val_per_class
     for c in id_classes:
         members = np.flatnonzero((graph.labels == c) & (graph.identity == 0))
-        if len(members) < need:
-            raise GraphDataError(
-                f"class {c} has {len(members)} nodes, needs {need} for train+val")
         chosen = rng.choice(members, size=need, replace=False)
         train[chosen[:n_train_per_class]] = True
         val[chosen[n_train_per_class:]] = True
 
     ood_members = np.flatnonzero(graph.identity == 1)
-    n_val_ood = n_val_per_class * len(id_classes)
-    if len(ood_members) < n_val_ood:
-        raise GraphDataError(
-            f"{len(ood_members)} OOD nodes available, validation needs {n_val_ood}")
-    val[rng.choice(ood_members, size=n_val_ood, replace=False)] = True
+    val[rng.choice(ood_members, size=n_val_per_class * len(id_classes), replace=False)] = True
 
     test = ~(train | val)
     return SplitAssignment(train_mask=train, val_mask=val, test_mask=test)

@@ -212,9 +212,99 @@ def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attent
     return engine.row_softmax(engine.matmul(out, head_mean)), mean_score
 
 
-def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
-    """D^-1/2 A D^-1/2 (h W), degrees counting self entries; no activation."""
-    return engine.matmul(index.normalized, engine.matmul(h, W))
+def gcn_layer(h, index: SegmentIndex | sp.csr_matrix, W: Tensor) -> Tensor:
+    """D^-1/2 A D^-1/2 (h W), degrees counting self entries; no activation.
+
+    `index` is a SegmentIndex, or rows of its propagation matrix (as a
+    `ReceptiveField` holds them).
+    """
+    adj = index.normalized if isinstance(index, SegmentIndex) else index
+    return engine.matmul(adj, engine.matmul(h, W))
+
+
+# ---------------------------------------------------------------------------
+# receptive fields
+
+
+@dataclass(frozen=True, eq=False)
+class ReceptiveField:
+    """What a two-layer evaluation forward reads to give its outputs at
+    `nodes` exactly, bit for bit as the full-graph forward gives them there.
+
+    `rows` are the feature rows it reads (sorted node ids): `nodes` for
+    mlp, and for the other architectures N2, the in-neighbourhood of N1,
+    which is the in-neighbourhood of `nodes`. `layer1` and `layer2` take
+    the graph index's place in each layer: for gcn the rows N1 and then
+    `nodes` of its propagation matrix, with columns renumbered; for the
+    attention models a SegmentIndex over N2 (then N1), numbered in sorted
+    order, in which N1's (then `nodes`') groups are whole and every other
+    node keeps only its self entry. `keep1` and `keep2` are the rows of
+    each attention layer's output that the next step reads.
+    """
+
+    nodes: np.ndarray
+    rows: np.ndarray
+    layer1: SegmentIndex | sp.csr_matrix | None = None
+    layer2: SegmentIndex | sp.csr_matrix | None = None
+    keep1: np.ndarray | None = None
+    keep2: np.ndarray | None = None
+
+    def features_of(self, features):
+        """The field's rows of a dense or CSR feature matrix."""
+        return features[self.rows] if sp.issparse(features) else np.take(features, self.rows,
+                                                                          axis=0)
+
+
+def _field_entries(index: SegmentIndex, rows: np.ndarray, whole: np.ndarray):
+    """(entry positions, offsets) of the groups of `rows` in entry order: a
+    row in `whole` keeps its group, any other row only its self entry."""
+    full = np.isin(rows, whole)
+    lengths = np.where(full, np.diff(index.offsets)[rows], 1)
+    starts = np.where(full, index.offsets[rows], index.self_pos[rows])
+    ends = np.cumsum(lengths)
+    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+    return entries, np.concatenate([[0], ends])
+
+
+def _in_neighbourhood(index: SegmentIndex, nodes: np.ndarray) -> np.ndarray:
+    """Sorted sources of the groups of `nodes`; self entries include them."""
+    return np.unique(index.sources[_field_entries(index, nodes, nodes)[0]])
+
+
+def _sub_index(index: SegmentIndex, rows: np.ndarray, whole: np.ndarray) -> SegmentIndex:
+    entries, offsets = _field_entries(index, rows, whole)
+    targets = np.repeat(np.arange(len(rows)), np.diff(offsets))
+    sources = np.searchsorted(rows, index.sources[entries])
+    return SegmentIndex(targets=targets, sources=sources, offsets=offsets,
+                        num_nodes=len(rows), self_pos=np.flatnonzero(targets == sources))
+
+
+def _sub_propagation(index: SegmentIndex, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    entries, offsets = _field_entries(index, rows, rows)
+    return sp.csr_matrix((index.normalized.data[entries],
+                          np.searchsorted(cols, index.sources[entries]), offsets),
+                         shape=(len(rows), len(cols)))
+
+
+def receptive_field(index: SegmentIndex, nodes, architecture: str) -> ReceptiveField:
+    """The receptive field of `nodes` in a two-layer `architecture` model:
+    0 hops for mlp, 2 for the message-passing models. Built without a
+    per-node loop; the groups of `index` must hold their self entries at
+    `index.self_pos`."""
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    if architecture == "mlp":
+        return ReceptiveField(nodes=nodes, rows=nodes)
+    inner = _in_neighbourhood(index, nodes)
+    outer = _in_neighbourhood(index, inner)
+    if architecture == "gcn":
+        return ReceptiveField(nodes=nodes, rows=outer,
+                              layer1=_sub_propagation(index, inner, outer),
+                              layer2=_sub_propagation(index, nodes, inner))
+    return ReceptiveField(nodes=nodes, rows=outer,
+                          layer1=_sub_index(index, outer, inner),
+                          layer2=_sub_index(index, inner, nodes),
+                          keep1=np.searchsorted(outer, inner),
+                          keep2=np.searchsorted(inner, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +312,7 @@ def gcn_layer(h, index: SegmentIndex, W: Tensor) -> Tensor:
 
 
 def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
-                  index: SegmentIndex, training: TrainConfig | None = None,
+                  index: SegmentIndex | ReceptiveField, training: TrainConfig | None = None,
                   rng: np.random.Generator | None = None) -> ModelOutputs:
     """Two-layer forward pass for any architecture.
 
@@ -231,13 +321,27 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
     pass and None in evaluation. Its dropout and drop-edge rates draw
     from `rng` in a fixed order (input dropout, layer-1 edges, hidden
     dropout, layer-2 edges).
+
+    `index` is the graph's index, or in evaluation a ReceptiveField of it
+    built for this architecture. Then `features` holds the field's rows
+    (`field.features_of`), and the outputs have one row per field node.
     """
     dropout_p = training.dropout_p if training else 0.0
     drop_edge_p = training.drop_edge_p if training else 0.0
     if (dropout_p > 0 or drop_edge_p > 0) and rng is None:
         raise ConfigError("training-mode forward needs an rng for dropout draws")
+    field = index if isinstance(index, ReceptiveField) else None
+    if field is not None and training is not None:
+        raise ConfigError("a receptive-field forward is an evaluation forward")
+    if field is not None and features.shape[0] != len(field.rows):
+        raise ConfigError(f"the receptive field reads {len(field.rows)} feature rows, "
+                          f"got {features.shape[0]}")
     act = _activation(config.activation)
     arch = config.architecture
+
+    def layer_index(layer: str):
+        # the field's stand-in for the index, or the index after drop-edge
+        return getattr(field, layer) if field else drop_edge(index, drop_edge_p, rng)
 
     x = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
 
@@ -248,12 +352,12 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         probs = engine.row_softmax(engine.matmul(hidden, params["l2.W"]))
         return ModelOutputs(probs=probs)
 
-    idx1 = drop_edge(index, drop_edge_p, rng)
+    idx1 = layer_index("layer1")
     if arch == "gcn":
         hidden = act(gcn_layer(x, idx1, params["l1.W"]))
         if dropout_p > 0:
             hidden = engine.dropout(hidden, dropout_p, rng)
-        idx2 = drop_edge(index, drop_edge_p, rng)
+        idx2 = layer_index("layer2")
         probs = engine.row_softmax(gcn_layer(hidden, idx2, params["l2.W"]))
         return ModelOutputs(probs=probs)
 
@@ -263,12 +367,20 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         edge_attention, l1_attn, l2_attn = oodgat_edge_attention, params["l1.a"], params["l2.a"]
     hidden, w1 = attention_layer(x, idx1, params["l1.W"], l1_attn, edge_attention,
                                  "concat", config.activation)
+    if field is not None:
+        hidden, w1 = _take_rows((hidden, w1), field.keep1)
     if dropout_p > 0:
         hidden = engine.dropout(hidden, dropout_p, rng)
-    idx2 = drop_edge(index, drop_edge_p, rng)
+    idx2 = layer_index("layer2")
     probs, w2 = attention_layer(hidden, idx2, params["l2.W"], l2_attn, edge_attention,
                                 "average", config.activation)
+    if field is not None:
+        probs, w1, w2 = _take_rows((probs, w1, w2), field.keep2)
     return ModelOutputs(probs=probs, w1=w1, w2=w2)
+
+
+def _take_rows(tensors, rows):
+    return tuple(None if t is None else engine.take_rows(t, rows) for t in tensors)
 
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

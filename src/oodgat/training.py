@@ -2,9 +2,11 @@
 
 One "step" is one gradient update computed on the whole graph
 (transductive full-batch training). After every update the model is
-re-run in evaluation mode on the validation split; the selection signal
-is accuracy plus detection AUROC, and training stops once that composite
-has gone `patience` consecutive steps without a new maximum.
+re-run in evaluation mode on the validation split's receptive field (the
+nodes whose features reach a validation node's output), which gives the
+validation rows of a full-graph forward bit for bit; the selection
+signal is accuracy plus detection AUROC, and training stops once that
+composite has gone `patience` consecutive steps without a new maximum.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .layers import (
     graph_index,
     init_params,
     model_forward,
+    receptive_field,
     restore_params,
 )
 from .losses import LossBreakdown, LossWeights, compute_objective
@@ -131,22 +134,22 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # validation scoring
 
 
-def validation_scores(outputs, graph: Graph, val_mask: np.ndarray) -> tuple[float, float]:
+def validation_scores(outputs, labels: np.ndarray,
+                      identity: np.ndarray) -> tuple[float, float]:
     """(accuracy over ID validation nodes, best applicable detection AUROC).
 
-    The AUROC uses the entropy score for every model and additionally the
-    attention score when the model produces one, keeping the larger of the
-    two. A validation set without both identities cannot score detection
-    and falls back to 0 for the AUROC term.
+    `outputs`, `labels` and `identity` hold the validation nodes only, one
+    row each. The AUROC uses the entropy score for every model and
+    additionally the attention score when the model produces one, keeping
+    the larger of the two. A validation set without both identities
+    cannot score detection and falls back to 0 for the AUROC term.
     """
-    id_mask = val_mask & (graph.identity == 0)
-    acc = metrics.accuracy(outputs.probs.values, graph.labels, id_mask)
+    every = np.ones(len(labels), dtype=bool)
+    acc = metrics.accuracy(outputs.probs.values, labels, identity == 0)
     try:
-        best = metrics.auroc(metrics.ood_scores(outputs, "entropy",
-                                                graph.identity, val_mask))
+        best = metrics.auroc(metrics.ood_scores(outputs, "entropy", identity, every))
         if getattr(outputs, "att_score", None) is not None:
-            att = metrics.auroc(metrics.ood_scores(outputs, "attention",
-                                                   graph.identity, val_mask))
+            att = metrics.auroc(metrics.ood_scores(outputs, "attention", identity, every))
             best = max(best, att)
     except MetricError:
         best = 0.0
@@ -166,6 +169,10 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
     """
     features = graph.model_features
     index = graph_index(graph)
+    val_nodes = np.flatnonzero(splits.val_mask)
+    field = receptive_field(index, val_nodes, model_config.architecture)
+    val_features = field.features_of(features)
+    val_labels, val_identity = graph.labels[val_nodes], graph.identity[val_nodes]
     rng = np.random.default_rng(cfg.seed)
     params = init_params(model_config, graph.num_features, rng)
     state = init_adam(params)
@@ -191,8 +198,8 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
                  if t in grads_by_tensor}
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay, step)
 
-        out_eval = model_forward(model_config, params, features, index)
-        acc, det = validation_scores(out_eval, graph, splits.val_mask)
+        out_eval = model_forward(model_config, params, val_features, field)
+        acc, det = validation_scores(out_eval, val_labels, val_identity)
         composite = acc + det
         steps.append(StepRecord(step=step, losses=breakdown,
                                 val_accuracy=acc, val_auroc=det,

@@ -159,6 +159,24 @@ def test_workers_below_one_is_single_error_line(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_splits_that_cannot_be_drawn_fail_before_the_pool_starts(tmp_path, capsys,
+                                                                  monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("oodgat.experiments.ProcessPoolExecutor", no_pool)
+    spec = tiny_spec(tmp_path)
+    # two runs, so that a pool of two would start if the spec loaded
+    spec.write_text(spec.read_text().replace("nodes_per_class = 50", "nodes_per_class = 20")
+                    .replace("splits = 1", "splits = 2"))
+    out = tmp_path / "o"
+    code = main(["train-eval", "--spec", str(spec), "--out", str(out), "--workers", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "ERROR GraphDataError: class 0 has 20 nodes, needs 30 for train+val\n"
+    assert not out.exists()
+
+
 def test_spec_name_must_match_subcommand(tmp_path, capsys):
     spec = tiny_spec(tmp_path, name="gridsearch")
     code = main(["train-eval", "--spec", str(spec), "--out", str(tmp_path / "o")])

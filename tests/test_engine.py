@@ -41,6 +41,7 @@ from oodgat.engine import (
     slice_rows,
     spmm,
     standardize,
+    take_rows,
     weighted_sum,
 )
 from oodgat.errors import EngineError
@@ -701,6 +702,9 @@ def test_gradcheck_structural_ops():
     params = {"x": x, "z": z}
     check(lambda: reduce_sum(slice_rows(x, 1, 4)), params)
     check(lambda: reduce_sum(mul(slice_rows(x, 1, 4), slice_rows(x, 0, 3))), params)
+    # repeated rows add their gradients
+    rows = np.array([4, 0, 4, 2])
+    check(lambda: reduce_sum(mul(take_rows(x, rows), np.arange(12.0).reshape(4, 3))), params)
     check(lambda: cosine_similarity(matmul(x, np.array([[1.0], [0.0], [0.0]])),
                                     matmul(z, np.array([[0.0], [1.0]]))), params)
 
@@ -724,6 +728,26 @@ def test_gradcheck_segment_ops():
     check(lambda: reduce_sum(mul(spmm(wts, vals, idx), mixer)), params)
     check(lambda: reduce_sum(mul(spmm(edge_softmax(left, right, idx, "leaky"), vals, idx),
                                  mixer)), params, tol=1e-4)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3, 4])
+def test_spmm_weight_gradient_matches_the_per_head_loop(heads):
+    rng = np.random.default_rng(heads)
+    n, d = 300, 3
+    idx = build_segment_index(rng.integers(0, n, 2600), rng.integers(0, n, 2600), n)
+    # more than one chunk of entries, the last one partial
+    assert idx.num_entries > engine._SDDMM_CHUNK and idx.num_entries % engine._SDDMM_CHUNK
+    w = leaf(rng.random((idx.num_entries, heads)))
+    h = leaf(rng.standard_normal((n, heads * d)))
+    g = rng.standard_normal((n, heads * d))
+    with GradTape():
+        grads = backward(reduce_sum(mul(spmm(w, h, idx), g)))
+    expected = np.empty((idx.num_entries, heads))
+    for k in range(heads):
+        cols = slice(k * d, (k + 1) * d)
+        expected[:, k] = np.einsum("ej,ej->e", np.take(g[:, cols], idx.targets, axis=0),
+                                   np.take(h.values[:, cols], idx.sources, axis=0))
+    assert np.array_equal(grads[w], expected)
 
 
 def test_gradcheck_dropout_with_fixed_mask():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oodgat import experiments
-from oodgat.errors import ConfigError
+from oodgat.errors import ConfigError, GraphDataError
 from oodgat.experiments import (
     RunRecord,
     RunReport,
@@ -243,6 +243,56 @@ def test_grid_rejects_fields_no_spec_sets(tmp_path, line):
 def test_bad_grid_cell_fails_at_load(tmp_path, line, match):
     with pytest.raises(ConfigError, match=match):
         parse_spec(write_spec(tmp_path, name="gridsearch", extra=f"\n[grid]\n{line}\n"))
+
+
+BUNDLE_SPEC = """\
+[experiment]
+name = {name}
+
+[dataset]
+kind = bundle
+path = no-such-bundle
+ood_classes = 2
+
+{sections}
+"""
+
+
+@pytest.mark.parametrize("name, sections, match", [
+    ("train-eval", "[train]\nlr = x", "lr: expected float"),
+    ("train-eval", "[train]\nlr = -1", "lr must be > 0"),
+    ("train-eval", "[model]\nheads = 2.5", "heads: expected int"),
+    ("train-eval", "[model]\nwings = 2", "unknown key"),
+    ("train-eval", "[loss]\nbeta = nan", "beta: expected a finite float"),
+    ("gridsearch", "[grid]\nlr = 0.1, -1", "lr must be > 0"),
+    ("gridsearch", "[grid]\nheads = 1, two", "heads: expected int"),
+], ids=["lr-type", "lr-range", "model-type", "model-key", "loss-value", "grid-range",
+        "grid-type"])
+def test_spec_sections_fail_before_the_dataset_loads(tmp_path, monkeypatch, name,
+                                                     sections, match):
+    def load(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(experiments, "load_graph_bundle", load)
+    path = tmp_path / "early.spec"
+    path.write_text(BUNDLE_SPEC.format(name=name, sections=sections), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        parse_spec(path)
+
+
+@pytest.mark.parametrize("name", ["train-eval", "smoothing-roc", "gridsearch"])
+def test_splits_that_cannot_be_drawn_fail_at_load(tmp_path, name):
+    extra = "\n[grid]\nlr = 0.01\n" if name == "gridsearch" else ""
+    path = write_spec(tmp_path, name=name, extra=extra)
+    path.write_text(path.read_text().replace("nodes_per_class = 50", "nodes_per_class = 20"))
+    with pytest.raises(GraphDataError, match="class 0 has 20 nodes, needs 30 for train"):
+        parse_spec(path)
+
+
+def test_experiments_that_draw_no_splits_load_small_graphs(tmp_path):
+    path = write_spec(tmp_path, name="gen-sbm")
+    path.write_text(path.read_text().replace("nodes_per_class = 50", "nodes_per_class = 20"))
+    assert parse_spec(path).name == "gen-sbm"
 
 
 def test_expand_space_cardinality_matches_tuning_grid():

@@ -10,7 +10,7 @@ import pytest
 from oodgat.errors import ConfigError, TrainingAbort
 from oodgat.engine import Tensor, backward
 from oodgat.graphs import SbmSpec, make_splits, sbm_generate
-from oodgat.layers import ModelConfig, graph_index, model_forward
+from oodgat.layers import ModelConfig, ModelOutputs, graph_index, model_forward
 from oodgat.losses import LossBreakdown, LossWeights
 from oodgat import training
 from oodgat.training import (
@@ -171,11 +171,13 @@ def test_best_step_maximizes_composite_and_checkpoint_restores(sbm_case):
     composites = [s.composite for s in history.steps]
     assert history.best_composite == max(composites)
     assert history.best_step == composites.index(max(composites)) + 1
-    # re-running evaluation from the returned params reproduces the
-    # recorded best validation numbers exactly
+    # re-running a full-graph evaluation from the returned params
+    # reproduces the recorded best validation numbers exactly
     out = model_forward(trained.config, trained.params, graph.features,
                         graph_index(graph))
-    acc, det = validation_scores(out, graph, splits.val_mask)
+    val = splits.val_mask
+    acc, det = validation_scores(ModelOutputs(probs=Tensor(out.probs.values[val])),
+                                 graph.labels[val], graph.identity[val])
     best = history.steps[history.best_step - 1]
     assert acc == best.val_accuracy
     assert det == best.val_auroc
