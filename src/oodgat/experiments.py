@@ -631,8 +631,9 @@ def _assemble(spec: ExperimentSpec, seed_base: int, outcomes: list[RunOutcome],
     report = RunReport(experiment=spec.name, version=__version__, config=config,
                        runs=runs, aggregates=aggregate_runs(runs))
     if out_dir is not None:
-        export_report(report, out_dir)
+        # reports last: a report in the directory means its run files are complete
         _write_run_files(outcomes, out_dir)
+        export_report(report, out_dir)
     return report
 
 

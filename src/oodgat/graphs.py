@@ -134,9 +134,15 @@ class SbmSpec:
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """Sort endpoints within each edge, then lexicographically, then dedup."""
+    """Sort endpoints within each edge, then lexicographically, then dedup.
+
+    An edge list already in that form is copied without the sort.
+    """
     if len(edges) == 0:
         return np.zeros((0, 2), dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    if (u < v).all() and ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return np.array(edges, dtype=np.int64, order="C")
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
     pairs = np.stack([lo, hi], axis=1)
@@ -190,6 +196,123 @@ def _read_lines(path: Path) -> list[str]:
     return [ln for ln in text.split("\n") if ln.strip()]
 
 
+_NEWLINE = ord("\n")
+# a token of at most 15 digits is below 10**15 < 2**53, so float64 holds
+# it, and every partial sum of its digit places, exactly
+_MAX_DIGITS = 15
+
+
+def _int_table(path: Path, sep: str) -> np.ndarray | None:
+    """A bundle file read as bytes: the (rows, width) float64 table of its
+    integers, or None unless the file is a canonical integer table.
+
+    Canonical means ASCII digits only, `sep` between the tokens of a row
+    and "\n" after each row (optional after the last), 1-15 digits per
+    token and the same width in every row. Every other file (signs,
+    spaces, decimals, CRLF, blank lines, ragged rows, an empty file) is
+    left to the line readers, which give its values or its error.
+    """
+    if not path.is_file():
+        return None
+    u = np.fromfile(path, dtype=np.uint8)
+    if len(u) == 0:
+        return None
+    if u[-1] != _NEWLINE:
+        u = np.append(u, np.uint8(_NEWLINE))
+    digits = _one_byte_tokens(u, ord(sep))
+    if digits is None:
+        return _multi_byte_tokens(u, ord(sep))
+    del u  # free the bytes before the table, the largest array, is made
+    return digits.astype(np.float64)
+
+
+def _table_shape(terminators: np.ndarray, sep: int) -> tuple[int, int] | None:
+    """(rows, width) when every token ends in `sep` or a newline and every
+    row holds the same number of tokens, else None."""
+    is_newline = terminators == _NEWLINE
+    rows = int(np.count_nonzero(is_newline))  # >= 1: the last byte is one
+    if rows + np.count_nonzero(terminators == sep) != len(terminators):
+        return None
+    width = len(terminators) // rows
+    if rows * width != len(terminators) or not is_newline[width - 1::width].all():
+        return None
+    return rows, width
+
+
+def _one_byte_tokens(u: np.ndarray, sep: int) -> np.ndarray | None:
+    """The uint8 digit table when every token is one digit, else None."""
+    if len(u) % 2:
+        return None
+    # each little-endian 16-bit word holds a digit in its low byte and
+    # the token's terminator in its high byte
+    words = u.view("<u2")
+    digits = words.astype(np.uint8)
+    digits -= 48  # a non-digit byte wraps past 9
+    if digits.max() > 9:
+        return None
+    shape = _table_shape(words >> 8, sep)
+    return None if shape is None else digits.reshape(shape)
+
+
+def _multi_byte_tokens(u: np.ndarray, sep: int) -> np.ndarray | None:
+    """The float64 table of tokens of 1-15 digits, or None."""
+    ends = np.flatnonzero((u - np.uint8(48)) > 9)
+    shape = _table_shape(u[ends], sep)
+    lengths = np.diff(ends, prepend=-1) - 1
+    if shape is None or lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(ends))
+    for place in range(int(lengths.max())):  # one vectorized pass per digit place
+        digit = np.where(lengths > place, u[ends - 1 - place] - np.uint8(48), 0)
+        values += digit * 10.0 ** place
+    return values.reshape(shape)
+
+
+def _read_labels(path: Path) -> np.ndarray:
+    table = _int_table(path, "\t")
+    if table is not None and table.shape[1] == 1:
+        return table[:, 0].astype(np.int64)
+    try:
+        return np.array([int(ln.strip()) for ln in _read_lines(path)], dtype=np.int64)
+    except ValueError as exc:
+        raise GraphDataError(f"labels.tsv: {exc}") from None
+
+
+def _read_features(path: Path, num_nodes: int) -> np.ndarray:
+    table = _int_table(path, ",")
+    feat_lines = _read_lines(path) if table is None else table
+    if len(feat_lines) != num_nodes:
+        raise GraphDataError(f"features.csv has {len(feat_lines)} rows, labels.tsv has {num_nodes}")
+    if table is not None:
+        return table
+    width = feat_lines[0].count(",") + 1
+    for i, ln in enumerate(feat_lines):
+        if ln.count(",") + 1 != width:
+            raise GraphDataError(f"features.csv row {i} has {ln.count(',') + 1} values, "
+                                 f"expected {width}")
+    try:
+        return np.loadtxt(feat_lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # numpy names the row, counted from 0 as above
+        raise GraphDataError(f"features.csv: {exc}") from None
+
+
+def _read_edges(path: Path) -> np.ndarray:
+    table = _int_table(path, "\t")
+    if table is not None and table.shape[1] == 2:
+        return table.astype(np.int64)
+    edge_lines = _read_lines(path)
+    raw = np.empty((len(edge_lines), 2), dtype=np.int64)
+    for i, ln in enumerate(edge_lines):
+        parts = ln.split("\t")
+        if len(parts) != 2:
+            raise GraphDataError(f"edges.tsv line {i}: expected two tab-separated ids")
+        try:
+            raw[i] = (int(parts[0]), int(parts[1]))
+        except ValueError as exc:
+            raise GraphDataError(f"edges.tsv line {i}: {exc}") from None
+    return raw
+
+
 def load_graph_bundle(path, ood_classes) -> Graph:
     """Load a bundle directory; identity[v] = 1 iff labels[v] is in ood_classes.
 
@@ -201,38 +324,12 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     if not ood_classes:
         raise GraphDataError("ood_classes is empty; at least one class must be out-of-distribution")
 
-    label_lines = _read_lines(root / "labels.tsv")
-    try:
-        labels = np.array([int(ln.strip()) for ln in label_lines], dtype=np.int64)
-    except ValueError as exc:
-        raise GraphDataError(f"labels.tsv: {exc}") from None
+    labels = _read_labels(root / "labels.tsv")
     num_nodes = len(labels)
     if num_nodes == 0:
         raise GraphDataError("labels.tsv lists no nodes")
-
-    feat_lines = _read_lines(root / "features.csv")
-    if len(feat_lines) != num_nodes:
-        raise GraphDataError(f"features.csv has {len(feat_lines)} rows, labels.tsv has {num_nodes}")
-    width = feat_lines[0].count(",") + 1
-    for i, ln in enumerate(feat_lines):
-        if ln.count(",") + 1 != width:
-            raise GraphDataError(f"features.csv row {i} has {ln.count(',') + 1} values, "
-                                 f"expected {width}")
-    try:
-        features = np.loadtxt(feat_lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # numpy names the row, counted from 0 as above
-        raise GraphDataError(f"features.csv: {exc}") from None
-
-    edge_lines = _read_lines(root / "edges.tsv")
-    raw = np.empty((len(edge_lines), 2), dtype=np.int64)
-    for i, ln in enumerate(edge_lines):
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise GraphDataError(f"edges.tsv line {i}: expected two tab-separated ids")
-        try:
-            raw[i] = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise GraphDataError(f"edges.tsv line {i}: {exc}") from None
+    features = _read_features(root / "features.csv", num_nodes)
+    raw = _read_edges(root / "edges.tsv")
     if len(raw) and (raw.min() < 0 or raw.max() >= num_nodes):
         raise GraphDataError("edges.tsv references a node id out of range")
 

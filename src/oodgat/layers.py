@@ -142,11 +142,14 @@ def drop_edge(index: SegmentIndex, p: float, rng: np.random.Generator) -> Segmen
 
 
 def _input_dropout(x, p: float, rng: np.random.Generator):
-    """Feature dropout that preserves sparsity for sparse constants."""
+    """Feature dropout that preserves sparsity for sparse constants: a
+    sparse input keeps only its surviving entries."""
     if sp.issparse(x):
         keep = rng.random(x.nnz) >= p
-        data = np.where(keep, x.data / (1.0 - p), 0.0)
-        return sp.csr_matrix((data, x.indices.copy(), x.indptr.copy()), shape=x.shape)
+        kept = np.zeros(x.nnz + 1, dtype=x.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        return sp.csr_matrix((x.data[keep] / (1.0 - p), x.indices[keep], kept[x.indptr]),
+                             shape=x.shape)
     return engine.dropout(x, p, rng)
 
 

@@ -594,6 +594,25 @@ def test_train_eval_runner(tmp_path, outdir):
     assert (outdir / "te" / "curves" / "oodgat-s0r0-att-roc.csv").is_file()
 
 
+def test_a_failed_run_file_write_leaves_no_report(tmp_path, monkeypatch):
+    from oodgat import experiments
+
+    write = experiments._write_atomic
+
+    def failing_curve_write(path, lines):
+        if path.parent.name == "curves":
+            raise OSError("disk full")
+        write(path, lines)
+
+    spec = parse_spec(write_spec(tmp_path, splits=1, seeds=1, steps=3))
+    monkeypatch.setattr(experiments, "_write_atomic", failing_curve_write)
+    out = tmp_path / "fresh"
+    with pytest.raises(OSError, match="disk full"):
+        run_train_eval(spec, seed_base=0, out_dir=out)
+    assert (out / "history").is_dir()
+    assert not list(out.glob("report.*"))
+
+
 def test_train_eval_rerun_byte_identical(tmp_path):
     spec = parse_spec(write_spec(tmp_path, splits=1, seeds=2))
     a = report_to_jsonl(run_train_eval(spec, seed_base=3))

@@ -17,6 +17,7 @@ from oodgat.errors import ConfigError
 from oodgat.graphs import make_graph
 from oodgat.layers import (
     ModelConfig,
+    _input_dropout,
     attention_layer,
     clone_params,
     drop_edge,
@@ -431,6 +432,24 @@ def test_training_forward_needs_rng():
     with pytest.raises(ConfigError, match="rng"):
         model_forward(cfg, params, g.features, graph_index(g),
                       training=TrainConfig(dropout_p=0.5))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_sparse_input_dropout_keeps_only_surviving_entries(p):
+    x = sp.random(40, 30, density=0.2, format="csr", random_state=7,
+                  data_rvs=lambda k: np.random.default_rng(8).standard_normal(k))
+    w = np.random.default_rng(9).standard_normal((30, 5))
+    g = np.random.default_rng(10).standard_normal((40, 5))
+    rng, old_rng = np.random.default_rng(11), np.random.default_rng(11)
+    out = _input_dropout(x, p, rng)
+    # the construction that kept every dropped entry as an explicit 0.0
+    keep = old_rng.random(x.nnz) >= p
+    old = sp.csr_matrix((np.where(keep, x.data / (1.0 - p), 0.0), x.indices, x.indptr),
+                        shape=x.shape)
+    assert out.nnz == np.count_nonzero(keep) and np.all(out.data != 0)
+    assert np.array_equal(out @ w, old @ w)
+    assert np.array_equal(out.T @ g, old.T @ g)
+    assert rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_sparse_features_match_dense_forward():
