@@ -322,9 +322,12 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
         _record(out, (x,), lambda g: (g,))
         return out
     v = _values(x)
-    keep = (rng.random(v.shape) >= p) / (1.0 - p)
-    out = Tensor(v * keep)
-    _record(out, (x,), lambda g: (g * keep,))
+    # a boolean mask, not a float one, is what the backward keeps; masking
+    # before the scale gives v * (mask / (1 - p)) bit for bit, overflow too
+    keep = rng.random(v.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out = Tensor((v * keep) * scale)
+    _record(out, (x,), lambda g: ((g * keep) * scale,))
     return out
 
 

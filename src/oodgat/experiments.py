@@ -412,7 +412,7 @@ class RunOutcome:
 def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
     """Test-split metrics for one trained model, plus optional ROC points."""
     out = model_forward(trained.config, trained.params,
-                        graph.model_features, graph_index(graph))
+                        graph.features, graph_index(graph))
     test = splits.test_mask
     vals: dict = {"accuracy": metrics.accuracy(out.probs.values, graph.labels,
                                                test & (graph.identity == 0))}

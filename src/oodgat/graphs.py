@@ -35,14 +35,16 @@ class Graph:
     """Undirected graph with node features, class labels, and ID/OOD flags.
 
     `edges` stores each undirected edge once as (min, max), lexicographically
-    sorted, with no self-loops. identity[v] is 0 for in-distribution nodes
-    and 1 for out-of-distribution nodes. Graphs compare and hash by
-    identity, as the cached index and features below assume.
+    sorted, with no self-loops. `features` has one form, the one the
+    models read: a canonical CSR matrix when under a quarter of its
+    entries are nonzero, else the dense float64 array. identity[v] is 0
+    for in-distribution nodes and 1 for out-of-distribution nodes. Graphs
+    compare and hash by identity, as the cached index below assumes.
     """
 
     num_nodes: int
     edges: np.ndarray          # (m, 2) int64, u < v
-    features: np.ndarray       # (num_nodes, d) float64
+    features: np.ndarray | sp.csr_matrix  # (num_nodes, d) float64
     labels: np.ndarray         # (num_nodes,) int64
     identity: np.ndarray       # (num_nodes,) int8
 
@@ -71,13 +73,6 @@ class Graph:
         src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
         return build_segment_index(src, dst, self.num_nodes)
-
-    @cached_property
-    def model_features(self):
-        """The features as the models read them: a CSR copy when under a
-        quarter of them are nonzero, else the dense array itself."""
-        density = np.count_nonzero(self.features) / max(self.features.size, 1)
-        return sp.csr_matrix(self.features) if density < 0.25 else self.features
 
 
 @dataclass(frozen=True)
@@ -153,18 +148,48 @@ def _canonical_edges(edges: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pairs[keep])
 
 
+def _sparse_enough(nonzeros: int, shape: tuple[int, int]) -> bool:
+    """The feature form rule: CSR when under a quarter of the entries are nonzero."""
+    return nonzeros / max(shape[0] * shape[1], 1) < 0.25
+
+
+def _feature_form(features):
+    """Checked float64 features in their one form (see `Graph`). A CSR
+    input is copied in canonical form: sorted indices, no duplicate and no
+    stored zero entries. Raises GraphDataError on a non-finite value."""
+    if sp.issparse(features):
+        features = sp.csr_matrix(features, dtype=np.float64, copy=True)
+        features.sum_duplicates()
+        bad = ~np.isfinite(features.data)
+        if bad.any():
+            row = np.searchsorted(features.indptr, np.argmax(bad), side="right") - 1
+            raise GraphDataError(f"feature row {row} has a non-finite value")
+        features.eliminate_zeros()
+        # the one place outside the bundle writer that densifies a CSR
+        return features if _sparse_enough(features.nnz, features.shape) else features.toarray()
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise GraphDataError(f"feature row {int(np.argmin(finite))} has a non-finite value")
+    if _sparse_enough(np.count_nonzero(features), features.shape):
+        return sp.csr_matrix(features)
+    return features
+
+
 def make_graph(num_nodes: int, edges, features, labels, identity) -> Graph:
-    """Assemble a Graph, canonicalizing edges and validating every invariant."""
+    """Assemble a Graph, canonicalizing edges and validating every invariant.
+
+    `features` may be dense or a scipy sparse matrix; the Graph keeps the
+    form that `_feature_form` chooses.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    features = np.asarray(features, dtype=np.float64)
+    if not sp.issparse(features):
+        features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     identity = np.asarray(identity, dtype=np.int8)
 
     if features.ndim != 2 or features.shape[0] != num_nodes:
         raise GraphDataError(f"feature matrix must have {num_nodes} rows, got {features.shape}")
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise GraphDataError(f"feature row {int(np.argmin(finite))} has a non-finite value")
+    features = _feature_form(features)
     if labels.shape != (num_nodes,):
         raise GraphDataError("label vector length mismatch")
     if identity.shape != (num_nodes,):
@@ -212,18 +237,29 @@ def _int_table(path: Path, sep: str) -> np.ndarray | None:
     spaces, decimals, CRLF, blank lines, ragged rows, an empty file) is
     left to the line readers, which give its values or its error.
     """
+    table = _token_table(path, sep)
+    return None if table is None else table.astype(np.float64, copy=False)
+
+
+def _token_table(path: Path, sep: str) -> np.ndarray | None:
+    """As `_int_table`, but a table of one-digit tokens comes back as its
+    uint8 digits. A first row that is not canonical declines the file
+    before the rest of it is read."""
     if not path.is_file():
         return None
-    u = np.fromfile(path, dtype=np.uint8)
-    if len(u) == 0:
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    tokens = first.removesuffix(b"\n").split(sep.encode())
+    if not all(t.isdigit() and len(t) <= _MAX_DIGITS for t in tokens):
         return None
+    u = np.fromfile(path, dtype=np.uint8)
     if u[-1] != _NEWLINE:
         u = np.append(u, np.uint8(_NEWLINE))
-    digits = _one_byte_tokens(u, ord(sep))
-    if digits is None:
-        return _multi_byte_tokens(u, ord(sep))
-    del u  # free the bytes before the table, the largest array, is made
-    return digits.astype(np.float64)
+    if all(len(t) == 1 for t in tokens):
+        digits = _one_byte_tokens(u, ord(sep), len(tokens))
+        if digits is not None:
+            return digits
+    return _multi_byte_tokens(u, ord(sep))
 
 
 def _table_shape(terminators: np.ndarray, sep: int) -> tuple[int, int] | None:
@@ -239,19 +275,20 @@ def _table_shape(terminators: np.ndarray, sep: int) -> tuple[int, int] | None:
     return rows, width
 
 
-def _one_byte_tokens(u: np.ndarray, sep: int) -> np.ndarray | None:
-    """The uint8 digit table when every token is one digit, else None."""
-    if len(u) % 2:
+def _one_byte_tokens(u: np.ndarray, sep: int, width: int) -> np.ndarray | None:
+    """The (rows, width) uint8 digit table when every token is one digit,
+    else None. Besides `u`, at most one array of a byte per token is
+    alive at a time."""
+    if len(u) % (2 * width):
         return None
-    # each little-endian 16-bit word holds a digit in its low byte and
-    # the token's terminator in its high byte
-    words = u.view("<u2")
-    digits = words.astype(np.uint8)
-    digits -= 48  # a non-digit byte wraps past 9
+    # every even byte is a digit and every odd byte the token's terminator
+    terminators = u[1::2].reshape(-1, width)
+    if not ((terminators[:, -1] == _NEWLINE).all() and (terminators[:, :-1] == sep).all()):
+        return None
+    digits = u[0::2] - np.uint8(48)  # a non-digit byte wraps past 9
     if digits.max() > 9:
         return None
-    shape = _table_shape(words >> 8, sep)
-    return None if shape is None else digits.reshape(shape)
+    return digits.reshape(-1, width)
 
 
 def _multi_byte_tokens(u: np.ndarray, sep: int) -> np.ndarray | None:
@@ -278,13 +315,29 @@ def _read_labels(path: Path) -> np.ndarray:
         raise GraphDataError(f"labels.tsv: {exc}") from None
 
 
-def _read_features(path: Path, num_nodes: int) -> np.ndarray:
-    table = _int_table(path, ",")
+def _digit_features(digits: np.ndarray):
+    """A one-digit feature table in its `Graph` form: a CSR built from the
+    nonzero digits alone when sparse enough, so the dense float64 table is
+    never made, else that dense table."""
+    if not _sparse_enough(np.count_nonzero(digits), digits.shape):
+        return digits.astype(np.float64)
+    flat = digits.ravel()
+    nz = np.flatnonzero(flat != 0)  # numpy finds a boolean array's nonzeros fastest
+    rows, width = digits.shape
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nz // width, minlength=rows), out=indptr[1:])
+    # scipy narrows the index arrays to int32 where they fit, as it does
+    # when it converts a dense matrix
+    return sp.csr_matrix((flat[nz].astype(np.float64), nz % width, indptr), shape=digits.shape)
+
+
+def _read_features(path: Path, num_nodes: int):
+    table = _token_table(path, ",")
     feat_lines = _read_lines(path) if table is None else table
     if len(feat_lines) != num_nodes:
         raise GraphDataError(f"features.csv has {len(feat_lines)} rows, labels.tsv has {num_nodes}")
     if table is not None:
-        return table
+        return _digit_features(table) if table.dtype == np.uint8 else table
     width = feat_lines[0].count(",") + 1
     for i, ln in enumerate(feat_lines):
         if ln.count(",") + 1 != width:
@@ -378,15 +431,23 @@ def _write_atomic(path: Path, lines: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _dense_rows(features):
+    """The rows of a dense or CSR matrix as dense 1-D arrays, one at a time."""
+    if not sp.issparse(features):
+        return iter(features)
+    return (features[i:i + 1].toarray()[0] for i in range(features.shape[0]))
+
+
 def save_graph_bundle(graph: Graph, path) -> None:
     """Write a Graph back out in bundle format (round-trips exactly); each
-    file is written whole or not at all."""
+    file is written whole or not at all. CSR features are written one
+    dense row at a time, as their dense twin would be."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     _write_atomic(root / "edges.tsv", (f"{u}\t{v}\n" for u, v in graph.edges))
     # repr round-trips doubles exactly
     _write_atomic(root / "features.csv", (",".join(repr(float(x)) for x in row) + "\n"
-                                          for row in graph.features))
+                                          for row in _dense_rows(graph.features)))
     _write_atomic(root / "labels.tsv", (f"{y}\n" for y in graph.labels))
 
 

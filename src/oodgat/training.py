@@ -167,7 +167,7 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
     The seed fixes parameter initialization and every dropout / drop-edge
     draw, so a repeated call is bit-identical.
     """
-    features = graph.model_features
+    features = graph.features
     index = graph_index(graph)
     val_nodes = np.flatnonzero(splits.val_mask)
     field = receptive_field(index, val_nodes, model_config.architecture)

@@ -5,15 +5,19 @@ A canonical integer table must load bit for bit as the line readers load
 it; any other file must be declined, so its values or its error message
 stay the line readers'. The guard at the end loads the benchmark's
 generated bundles with the line readers disabled, so a change that makes
-the byte reader decline them fails here rather than as a slower set-up.
+the byte reader decline them fails here rather than as a slower set-up,
+and loads the Cora-shaped one under tracemalloc, so a change that builds
+its dense feature table again fails here rather than as a larger peak.
 This module reads perfbench/graphgen.py and never edits it.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oodgat import graphs
 from oodgat.errors import GraphDataError
@@ -42,7 +46,7 @@ def render(table, sep, final_newline=True):
 
 def line_readers(monkeypatch):
     """Decline every file in the byte reader, as if it did not exist."""
-    monkeypatch.setattr(graphs, "_int_table", lambda path, sep: None)
+    monkeypatch.setattr(graphs, "_token_table", lambda path, sep: None)
 
 
 def load_outcome(root, ood_classes=(1,)):
@@ -182,6 +186,34 @@ def test_reader_declines_a_missing_file(tmp_path):
         graphs.load_graph_bundle(tmp_path, {1})
 
 
+@pytest.mark.parametrize("first_row", ["0.5,1\n", "-1,0\n", "1,0\r\n", "1, 0\n"])
+def test_a_non_canonical_first_row_declines_before_the_rest_is_read(tmp_path, monkeypatch,
+                                                                    first_row):
+    path = tmp_path / "features.csv"
+    path.write_bytes((first_row + "0,1\n" * 100).encode())
+    monkeypatch.setattr(graphs.np, "fromfile", _refuse("np.fromfile"))
+    assert graphs._int_table(path, ",") is None
+
+
+def csr_parts(m):
+    return [(a.dtype.str, a.tobytes()) for a in (m.data, m.indices, m.indptr)] + [m.shape]
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_sparse_digit_features_match_the_line_readers(tmp_path, monkeypatch, final_newline):
+    rng = np.random.default_rng(11)
+    rows, width = 37, 23
+    table = np.where(rng.random((rows, width)) < 0.08, rng.integers(1, 10, (rows, width)), 0)
+    table[[0, 5, -1]] = 0  # empty rows at both ends and inside
+    root = write_files(tmp_path / "b", labels="".join(f"{i % 3}\n" for i in range(rows)),
+                       features=render(table.astype(str).tolist(), ",", final_newline))
+    fast = graphs.load_graph_bundle(root, (2,)).features
+    line_readers(monkeypatch)
+    slow = graphs.load_graph_bundle(root, (2,)).features
+    assert sp.isspmatrix_csr(fast) and sp.isspmatrix_csr(slow)
+    assert csr_parts(fast) == csr_parts(slow) == csr_parts(sp.csr_matrix(table.astype(float)))
+
+
 def test_fifteen_digit_tokens_are_exact(tmp_path):
     path = tmp_path / "table"
     path.write_bytes(b"999999999999999,000000000000001\n123456789012345,7\n")
@@ -219,4 +251,25 @@ def test_benchmark_bundles_skip_the_line_readers(tmp_path, monkeypatch, generato
     np.testing.assert_array_equal(g.edges, data.edges)
     np.testing.assert_array_equal(g.labels, data.labels)
     if binary:
-        assert g.features.tobytes() == data.features.astype(np.float64).tobytes()
+        assert g.features.toarray().tobytes() == data.features.astype(np.float64).tobytes()
+
+
+def test_sparse_features_load_without_the_dense_table(tmp_path, monkeypatch):
+    graphgen = load_graphgen()
+    data = graphgen.cora_shaped(0)
+    graphgen.write_bundle(data, tmp_path)
+    rows, cols = data.features.shape
+    tracemalloc.start()
+    try:
+        g = graphs.load_graph_bundle(tmp_path, (0, 1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * cols * 8 / 2  # the dense float64 table alone is twice this
+    features = g.features
+    assert sp.isspmatrix_csr(features) and features.indices.dtype == np.int32
+    assert features.has_sorted_indices and np.all(features.data != 0)
+    line_readers(monkeypatch)
+    dense = graphs._read_features(tmp_path / "features.csv", rows)
+    assert features.toarray().tobytes() == dense.tobytes()
+    assert csr_parts(features) == csr_parts(sp.csr_matrix(dense))

@@ -583,6 +583,30 @@ def test_dropout_backward_uses_same_mask():
     np.testing.assert_array_equal(grads[x], y.values)
 
 
+def extreme_values(rng, shape):
+    """Values of every magnitude, with both zeros, NaN, both infinities and
+    finite values whose scaled twin overflows."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 308, shape)
+    v.ravel()[:8] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 5e-324]
+    return v
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5, 0.6, 0.9])
+def test_dropout_with_a_boolean_mask_equals_the_float_mask(p):
+    rng = np.random.default_rng(12)
+    v, g = extreme_values(rng, (40, 30)), extreme_values(rng, (40, 30))
+    reference = np.random.default_rng(8)
+    keep = (reference.random(v.shape) >= p) / (1.0 - p)  # the float64 mask, as reference
+    state = np.random.default_rng(8)
+    x = leaf(v)
+    with np.errstate(all="ignore"), GradTape():
+        y = dropout(x, p, state)
+        grads = backward(reduce_sum(mul(y, g)))
+        assert y.values.tobytes() == (v * keep).tobytes()
+        assert grads[x].tobytes() == (g * keep).tobytes()
+    assert state.bit_generator.state == reference.bit_generator.state
+
+
 def test_dropout_rejects_bad_rate():
     x = leaf(np.ones((2, 2)))
     with pytest.raises(EngineError):

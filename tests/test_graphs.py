@@ -4,10 +4,12 @@ Homophily expectations are hand-enumerated; the vectorized implementation
 is also compared against a plain-loop reference on random graphs.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oodgat.errors import GraphDataError
 from oodgat.graphs import (
@@ -64,6 +66,90 @@ def test_make_graph_rejects_bad_shapes():
         make_graph(3, [(0, 1)], np.zeros((2, 1)), [0, 0, 0], [0, 0, 0])
     with pytest.raises(GraphDataError, match="out of range"):
         make_graph(2, [(0, 5)], np.zeros((2, 1)), [0, 0], [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the feature form
+
+
+def csr_parts(m):
+    return [(a.dtype.str, a.tobytes()) for a in (m.data, m.indices, m.indptr)] + [m.shape]
+
+
+def sparse_table(rng, rows, cols, density):
+    return np.where(rng.random((rows, cols)) < density, rng.standard_normal((rows, cols)), 0.0)
+
+
+def error_of(features, num_nodes):
+    with pytest.raises(GraphDataError) as info:
+        make_graph(num_nodes, [(0, 1)], features, np.zeros(num_nodes, int),
+                   np.zeros(num_nodes, np.int8))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("nonzero_rows, sparse", [(0, True), (4, True), (5, False), (20, False)])
+def test_features_take_the_form_of_the_density_rule(nonzero_rows, sparse):
+    # one nonzero per row: the density is nonzero_rows / 20, CSR below 1/4
+    x = np.zeros((20, 1))
+    x[:nonzero_rows] = np.arange(1, nonzero_rows + 1)[:, None]
+    for given in (x, sp.csr_matrix(x), sp.coo_matrix(x)):
+        g = make_graph(20, [(0, 1)], given, np.zeros(20, int), np.zeros(20, np.int8))
+        assert sp.issparse(g.features) == sparse
+        if sparse:
+            assert csr_parts(g.features) == csr_parts(sp.csr_matrix(x))
+        else:
+            assert g.features.dtype == np.float64 and g.features.tobytes() == x.tobytes()
+
+
+def test_a_sparse_input_is_kept_canonical_and_not_mutated():
+    # duplicates, unsorted columns and a stored zero
+    given = sp.csr_matrix((np.array([2.0, 1.0, 0.0, 0.5, 0.25]), np.array([3, 1, 2, 3, 0]),
+                           np.array([0, 4, 4, 5, 5, 5])), shape=(5, 4))
+    before = csr_parts(given)
+    g = make_graph(5, [(0, 1)], given, np.zeros(5, int), np.zeros(5, np.int8))
+    assert csr_parts(given) == before
+    assert csr_parts(g.features) == csr_parts(sp.csr_matrix(given.toarray()))
+    assert g.num_features == 4
+
+
+def test_sparse_features_raise_the_dense_errors():
+    x = np.zeros((6, 4))
+    x[3, 2], x[5, 0] = np.nan, np.inf
+    assert error_of(x, 6) == error_of(sp.csr_matrix(x), 6) \
+        == "feature row 3 has a non-finite value"
+    # finite duplicate entries whose sum overflows, as in their dense twin
+    overflow = sp.coo_matrix(([1e308, 1e308], ([2, 2], [1, 1])), shape=(6, 4))
+    assert error_of(overflow.toarray(), 6) == error_of(overflow, 6) \
+        == "feature row 2 has a non-finite value"
+    assert error_of(np.zeros((4, 3)), 5) == error_of(sp.csr_matrix((4, 3)), 5) \
+        == "feature matrix must have 5 rows, got (4, 3)"
+
+
+def test_sparse_features_save_as_their_dense_twin(tmp_path):
+    rng = np.random.default_rng(3)
+    x = sparse_table(rng, 30, 12, 0.1)
+    x[4, 7] = 5e-324
+    g = make_graph(30, [(0, 1), (2, 9)], x, np.arange(30) % 2, np.arange(30) % 2)
+    assert sp.issparse(g.features)
+    save_graph_bundle(g, tmp_path / "sparse")
+    save_graph_bundle(replace(g, features=g.features.toarray()), tmp_path / "dense")
+    for name in ("edges.tsv", "features.csv", "labels.tsv"):
+        assert (tmp_path / "sparse" / name).read_bytes() == (tmp_path / "dense" / name).read_bytes()
+    loaded = load_graph_bundle(tmp_path / "sparse", ood_classes={1})
+    assert csr_parts(loaded.features) == csr_parts(g.features)
+
+
+def test_sparse_features_are_written_one_row_at_a_time(tmp_path):
+    rows, cols = 100, 2000
+    g = make_graph(rows, [(0, 1)], sparse_table(np.random.default_rng(4), rows, cols, 0.01),
+                   np.zeros(rows, int), np.zeros(rows, np.int8))
+    tracemalloc.start()
+    try:
+        save_graph_bundle(g, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * cols * 8 / 4  # the dense twin alone is four times this
 
 
 # ---------------------------------------------------------------------------

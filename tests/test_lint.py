@@ -1,4 +1,6 @@
-"""Unused-import lint over src/, tests/ and perfbench/.
+"""Unused-import lint over src/, tests/ and perfbench/, and two guards on
+src/: every public engine function is used, and no sparse matrix is made
+dense outside the places that must.
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -99,3 +101,42 @@ def test_every_engine_function_is_used_by_the_program():
         if path.name != "engine.py":
             used |= engine_references(path.read_text(), names)
     assert sorted(names - used) == []
+
+
+# Graph features stay CSR from load onward when they are sparse. A CSR is
+# made dense only row by row in the bundle writer, and whole only by the
+# feature form rule when under a quarter of its entries are zero.
+DENSIFY_ALLOWED = {"oodgat/graphs.py": {"_dense_rows", "_feature_form"}}
+
+
+def densify_calls(source: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "") of every call of a
+    `.toarray()` or `.todense()` method."""
+    tree = ast.parse(source)
+    owner: dict[int, str] = {}
+    for fn in ast.walk(tree):  # breadth first, so inner functions overwrite
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(fn):
+                owner[id(inner)] = fn.name
+    return sorted((node.lineno, owner.get(id(node), "")) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("toarray", "todense"))
+
+
+def test_densify_calls_name_their_function():
+    source = ("x = m.todense()\n"
+              "def outer(m):\n"
+              "    def inner():\n"
+              "        return m.toarray()\n"
+              "    return [r.toarray() for r in m], m.tocsr()\n")
+    assert densify_calls(source) == [(1, ""), (4, "inner"), (5, "outer")]
+
+
+def test_no_sparse_matrix_is_made_dense_outside_its_places():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        name = path.relative_to(ROOT / "src").as_posix()
+        for line, fn in densify_calls(path.read_text()):
+            if fn not in DENSIFY_ALLOWED.get(name, set()):
+                found.append(f"src/{name}:{line}: in {fn or '<module>'}")
+    assert found == []
