@@ -302,7 +302,13 @@ def reduce_sum(x) -> Tensor:
 
 def row_softmax(x) -> Tensor:
     v = _values(x)
-    z = np.exp(v - v.max(axis=1, keepdims=True))
+    # the row max as a running maximum over the columns: exact, and on the
+    # narrow rows of class probabilities far faster than v.max(axis=1),
+    # which numpy runs as a per-row inner loop
+    top = v[:, 0].copy()
+    for k in range(1, v.shape[1]):
+        np.maximum(top, v[:, k], out=top)
+    z = np.exp(v - top[:, None])
     y = z / z.sum(axis=1, keepdims=True)
     out = Tensor(y)
 

@@ -772,8 +772,10 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     oodgat, gcn and gat objectives on a 12-node random graph, the oodgat
     objective once more in training mode (dropout and drop-edge), the
     full mlp objective, the multi-head (K-column) forms of the attention
-    ops, the fused edge softmax and objective terms, and last the row
-    gather; each later check leaves the earlier draws unchanged."""
+    ops, the fused edge softmax and objective terms, the row gather, and
+    last the gcn objective over features narrower than its hidden layer,
+    in evaluation and in training mode; each later check leaves the
+    earlier draws unchanged."""
     rng = np.random.default_rng(seed)
 
     def t(shape, low=-2.0, high=2.0):
@@ -897,6 +899,16 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
         [2.0, 0.05, 0.005], 0.73), {"a": a, "b": b, "c1": c1, "c2": c2}, 1e-6)
     check("take_rows", lambda: engine.reduce_sum(engine.mul(
         engine.take_rows(a, np.array([2, 0, 2])), b)), {"a": a, "b": b}, 1e-6)
+
+    # gcn over features narrower than its hidden layer, whose first layer
+    # aggregates the features before the product with W
+    narrow_cfg = ModelConfig(architecture="gcn", num_classes=3, hidden_dim=8)
+    narrow_params = init_params(narrow_cfg, 6, rng)
+    check("full_gcn_objective_narrow", objective(narrow_cfg, narrow_params, LossWeights()),
+          narrow_params, 1e-4)
+    check("full_gcn_objective_narrow_training", objective(
+        narrow_cfg, narrow_params, LossWeights(), TrainConfig(dropout_p=0.3, drop_edge_p=0.3)),
+        narrow_params, 1e-4)
     return checks
 
 

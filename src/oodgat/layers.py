@@ -216,13 +216,20 @@ def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attent
 
 
 def gcn_layer(h, index: SegmentIndex | sp.csr_matrix, W: Tensor) -> Tensor:
-    """D^-1/2 A D^-1/2 (h W), degrees counting self entries; no activation.
+    """P h W with P = D^-1/2 A D^-1/2, degrees counting self entries; no
+    activation.
+
+    P runs at the narrower width: (P h) W when h has fewer columns than W,
+    else P (h W). A constant h (the features, dropped out or not) is
+    aggregated off the tape, and a CSR h stays CSR.
 
     `index` is a SegmentIndex, or rows of its propagation matrix (as a
     `ReceptiveField` holds them).
     """
     adj = index.normalized if isinstance(index, SegmentIndex) else index
-    return engine.matmul(adj, engine.matmul(h, W))
+    if h.shape[1] >= W.shape[1]:
+        return engine.matmul(adj, engine.matmul(h, W))
+    return engine.matmul(engine.matmul(adj, h) if isinstance(h, Tensor) else adj @ h, W)
 
 
 # ---------------------------------------------------------------------------

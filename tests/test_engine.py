@@ -702,6 +702,28 @@ def test_elu_and_sigmoid_match_the_where_reference_bit_for_bit():
         assert_same_bits(grads[x], want_grad)
 
 
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_softmax_running_max_equals_the_axis_max_bit_for_bit(width):
+    rng = np.random.default_rng(60 + width)
+    v = rng.standard_normal((12, width)) * 10.0 ** rng.integers(-3, 3, (12, width))
+    v[0] = -0.0
+    v[1] = np.where(np.arange(width) % 2, -0.0, 0.0)
+    v[2] = -np.abs(v[2])
+    v[2, -1] = -0.0
+    v[3, width // 2] = np.inf
+    v[4, 0] = -np.inf
+    v[5] = -np.inf
+    v[6] = np.inf
+    v[7, -1] = np.nan
+    v[8] = np.where(rng.random(width) < 0.5, -0.0, v[8])
+    v[9] += 750.0
+    with np.errstate(all="ignore"):
+        z = np.exp(v - v.max(axis=1, keepdims=True))  # the axis-max formula, as reference
+        want = z / z.sum(axis=1, keepdims=True)
+        got = row_softmax(Tensor(v)).values
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gradcheck_piecewise_ops_away_from_kinks():
     rng = np.random.default_rng(43)
     base = rng.uniform(0.2, 2.0, (3, 4)) * np.where(rng.random((3, 4)) < 0.5, -1, 1)

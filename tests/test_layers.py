@@ -131,19 +131,52 @@ def dense_adjacency(index, n):
     return A
 
 
-def test_gcn_layer_matches_dense_oracle():
+# 3 output columns propagate after the product with W, 6 before it
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize("form", ["tensor", "array", "csr"])
+def test_gcn_layer_matches_dense_oracle(form, width):
     rng = np.random.default_rng(1)
     g = toy_graph(n=5, seed=2)
     idx = graph_index(g)
     h = rng.standard_normal((5, 4))
-    W = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    got = gcn_layer(Tensor(h), idx, W).values
+    W = Tensor(rng.standard_normal((4, width)), requires_grad=True)
+    given = {"tensor": Tensor(h), "array": h, "csr": sp.csr_matrix(h)}[form]
+    got = gcn_layer(given, idx, W).values
 
     A_hat = dense_adjacency(idx, 5)  # self entries already included
     deg = A_hat.sum(axis=1)
     D = np.diag(1.0 / np.sqrt(deg))
     want = D @ A_hat @ D @ h @ W.values
     np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def test_gcn_layer_gradients_in_both_orders():
+    rng = np.random.default_rng(3)
+    idx = graph_index(toy_graph(n=6, seed=4))
+    for width in (2, 5):  # h has 3 columns
+        h = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        W = Tensor(rng.standard_normal((3, width)), requires_grad=True)
+        mixer = rng.standard_normal((6, width))
+        report = grad_check(lambda: engine.reduce_sum(engine.mul(gcn_layer(h, idx, W), mixer)),
+                            {"h": h, "W": W}, tol=1e-6)
+        assert report.passed, (width, report.per_param)
+
+
+@pytest.mark.parametrize("training", [None, TrainConfig(dropout_p=0.5)], ids=["eval", "dropout"])
+def test_narrow_gcn_features_are_aggregated_off_the_tape(training):
+    g = toy_graph(n=8, seed=26)  # 4 features
+    nodes = {}
+    for width in (3, 8):
+        cfg = ModelConfig(architecture="gcn", num_classes=3, hidden_dim=width)
+        params = init_params(cfg, g.num_features, np.random.default_rng(10))
+        with engine.GradTape():
+            out = model_forward(cfg, params, g.features, graph_index(g), training=training,
+                                rng=np.random.default_rng(11))
+        nodes[width] = out.probs.tape_id + 1  # the softmax is the last node recorded
+    # X W1, P (X W1), elu, [hidden dropout], h W2, P (h W2), softmax; with 8
+    # hidden columns P X is a constant, so only (P X) W1 is recorded
+    assert nodes[3] == 6 + (training is not None)
+    assert nodes[8] == nodes[3] - 1
 
 
 def test_gcn_single_selfloop_node():

@@ -5,7 +5,9 @@ only the features of v's 2-hop in-neighbourhood (v alone for mlp), it
 moves with v when the nodes are relabelled, and the per-step validation
 forward over the validation nodes' receptive field gives exactly the
 full-graph forward's rows. The graphs are seeded random graphs with
-isolated nodes and a hub; the attention models run with 1 to 3 heads.
+isolated nodes and a hub; the attention models run with 1 to 3 heads,
+and gcn runs once with a hidden layer wider than the features, so that
+its first layer aggregates before the product with W.
 """
 
 import numpy as np
@@ -17,8 +19,16 @@ from oodgat.graphs import make_graph
 from oodgat.layers import ModelConfig, init_params, model_forward, receptive_field
 from oodgat.training import TrainConfig
 
-CASES = [("mlp", 1), ("gcn", 1)] + [(arch, k) for arch in ("gat", "oodgat")
-                                     for k in (1, 2, 3)]
+
+def case(arch, heads, hidden=4):
+    """One battery model. A hidden width of 8 over the 5 features runs
+    gcn's first layer aggregate-first, (P X) W."""
+    tag = f"{arch}-{heads}" if hidden == 4 else f"{arch}-{heads}-hidden{hidden}"
+    return pytest.param(arch, heads, hidden, id=tag)
+
+
+CASES = [case("mlp", 1), case("gcn", 1), case("gcn", 1, 8)] + [
+    case(arch, k) for arch in ("gat", "oodgat") for k in (1, 2, 3)]
 SEEDS = (0, 1, 2)
 
 
@@ -37,10 +47,10 @@ def battery_graph(seed, n=48):
                       (labels == 3).astype(np.int8)), sorted(isolated), hub
 
 
-def perturbed_params(arch, heads, num_features, seed):
+def perturbed_params(arch, heads, num_features, seed, hidden=4):
     """Initial parameters moved off their start values, so that the oodgat
     scores (which start at 0.5 everywhere) depend on the features."""
-    cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=4)
+    cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=hidden)
     rng = np.random.default_rng(seed)
     params = init_params(cfg, num_features, rng)
     for tensor in params.values():
@@ -71,10 +81,11 @@ def assert_outputs_equal(got, want):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("arch,heads", CASES)
-def test_receptive_field_forward_equals_full_forward_at_its_nodes(arch, heads, seed, sparse):
+@pytest.mark.parametrize("arch,heads,hidden", CASES)
+def test_receptive_field_forward_equals_full_forward_at_its_nodes(arch, heads, hidden, seed,
+                                                                  sparse):
     graph, isolated, hub = battery_graph(seed)
-    cfg, params = perturbed_params(arch, heads, graph.num_features, seed)
+    cfg, params = perturbed_params(arch, heads, graph.num_features, seed, hidden)
     features = sp.csr_matrix(graph.features) if sparse else graph.features
     rng = np.random.default_rng(seed + 100)
     nodes = np.unique(np.concatenate([[hub, isolated[0]], rng.choice(graph.num_nodes, 9)]))
@@ -99,10 +110,10 @@ def test_receptive_field_reads_the_two_hop_neighbourhood(arch, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("arch,heads", CASES)
-def test_eval_outputs_ignore_features_outside_the_two_hop_neighbourhood(arch, heads, seed):
+@pytest.mark.parametrize("arch,heads,hidden", CASES)
+def test_eval_outputs_ignore_features_outside_the_two_hop_neighbourhood(arch, heads, hidden, seed):
     graph, isolated, hub = battery_graph(seed)
-    cfg, params = perturbed_params(arch, heads, graph.num_features, seed)
+    cfg, params = perturbed_params(arch, heads, graph.num_features, seed, hidden)
     rng = np.random.default_rng(seed + 200)
     base = model_forward(cfg, params, graph.features, graph.index)
     for v in (hub, isolated[0], int(rng.integers(graph.num_nodes))):
@@ -118,10 +129,10 @@ def test_eval_outputs_ignore_features_outside_the_two_hop_neighbourhood(arch, he
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("arch,heads", CASES)
-def test_eval_outputs_move_with_relabelled_nodes(arch, heads, seed):
+@pytest.mark.parametrize("arch,heads,hidden", CASES)
+def test_eval_outputs_move_with_relabelled_nodes(arch, heads, hidden, seed):
     graph, _, _ = battery_graph(seed)
-    cfg, params = perturbed_params(arch, heads, graph.num_features, seed)
+    cfg, params = perturbed_params(arch, heads, graph.num_features, seed, hidden)
     perm = np.random.default_rng(seed + 300).permutation(graph.num_nodes)  # v -> perm[v]
     inverse = np.argsort(perm)
     relabelled = make_graph(graph.num_nodes, perm[graph.edges], graph.features[inverse],
