@@ -12,26 +12,14 @@ from pathlib import Path
 
 from .errors import ConfigError, OodgatError
 from .experiments import (
+    RUNNERS,
     best_grid_condition,
     gradcheck_battery,
     parse_spec,
-    run_edge_ablation,
     run_gen_sbm,
-    run_gridsearch,
     run_homophily_check,
-    run_loss_ablation,
-    run_smoothing_roc,
-    run_train_eval,
     report_text_table,
 )
-
-_RUNNERS = {
-    "train-eval": run_train_eval,
-    "edge-ablation": run_edge_ablation,
-    "smoothing-roc": run_smoothing_roc,
-    "ablate-losses": run_loss_ablation,
-    "gridsearch": run_gridsearch,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel training processes, at most one per run "
                              "(default 1)")
     common.add_argument("--seed-base", type=int, default=0,
-                        help="base of the split/run seeding scheme (default 0)")
+                        help="base of the split/run seeding scheme, >= 0 (default 0)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
@@ -79,6 +67,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.seed_base < 0:
+        raise ConfigError(f"--seed-base must be >= 0, got {args.seed_base}")
     if args.command == "gradcheck":
         failed = 0
         for name, report in gradcheck_battery(seed=args.seed_base):
@@ -107,9 +97,8 @@ def _dispatch(args) -> int:
         return 0
 
     _need(args, "out")
-    runner = _RUNNERS[args.command]
-    report = runner(spec, seed_base=args.seed_base, workers=args.workers,
-                    out_dir=args.out)
+    report = RUNNERS[args.command](spec, seed_base=args.seed_base,
+                                   workers=args.workers, out_dir=args.out)
     sys.stdout.write(report_text_table(report))
     if args.command == "gridsearch":
         cond, score = best_grid_condition(report)

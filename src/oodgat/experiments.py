@@ -1,8 +1,9 @@
 """Experiment harness: spec files, named runners, seeding, and exports.
 
 A spec file is plain INI text. The [dataset] section names either a
-bundle directory or a block-model recipe; [model], [train], [loss], and
-[grid] override defaults. Every runner expands into independent
+bundle directory or a block-model recipe; [model], [train] and [loss]
+override defaults, and a gridsearch spec's [grid] lists the candidates
+of each tuned key. Every runner expands into independent
 (condition, split, seed) tasks, executes them sequentially or in a
 process pool, and assembles a RunReport whose per-run records are
 byte-stable across re-runs.
@@ -44,11 +45,6 @@ from .graphs import (
 from .layers import ModelConfig, graph_index, init_params, model_forward
 from .losses import LossWeights, compute_objective
 from .training import TrainConfig, train
-
-# the experiments that train, each on splits drawn by make_splits
-SPLIT_EXPERIMENTS = ("train-eval", "edge-ablation", "smoothing-roc", "ablate-losses",
-                     "gridsearch")
-EXPERIMENT_NAMES = SPLIT_EXPERIMENTS + ("gen-sbm", "gradcheck", "homophily-check")
 
 # seeding scheme: one stream per split, one per (split, seed) pair
 SPLIT_SEED_STRIDE = 7919
@@ -122,7 +118,7 @@ class ExperimentSpec:
     train: TrainConfig
     splits: int = 3
     seeds_per_split: int = 3
-    grid: dict | None = None
+    grid: list = field(default_factory=list)     # gridsearch (label, model, train) cells
     config: dict = field(default_factory=dict)   # resolved, JSON-ready
 
 
@@ -180,35 +176,31 @@ def _config(parser: configparser.ConfigParser, name: str, **fixed):
     return _CONFIG_SECTIONS[name](**fixed, **_section_values(parser, name))
 
 
-def _grid_field(key: str) -> tuple[str, str]:
-    """(section, type) of a grid key."""
+def _grid_candidates(key: str, text: str) -> list[tuple]:
+    """A grid key's candidates as (shown, value) pairs. `shown` is how cell
+    labels and the report header print a candidate: a number as read, an
+    int literal kept an int, text as written. `value` is the candidate read
+    as the key's type; no two candidates may read as the same value."""
     if key not in _GRID_KEYS:
         raise ConfigError(f"unknown grid field {key!r}; grid keys are the [model] "
                           "(but architecture), [train] and [loss] keys")
-    return _GRID_KEYS[key]
-
-
-def _grid_candidates(key: str, text: str) -> list:
-    """A grid key's candidates as cell labels and the report header show
-    them: numbers as read, an int literal kept an int, text as written.
-    Each must read as the key's type, and no two as the same value."""
-    kind = _grid_field(key)[1]
-    shown, values = [], []
+    kind = _GRID_KEYS[key][1]
+    pairs = []
     for token in (t.strip() for t in text.split(",")):
         if not token:
             continue
         value = _value(key, token, kind)
-        if value in values:
+        if any(value == v for _, v in pairs):
             raise ConfigError(f"grid field {key!r} lists the value {token!r} twice")
-        values.append(value)
         if isinstance(value, (bool, str)):
-            shown.append(token)
-            continue
-        try:
-            shown.append(int(token))
-        except ValueError:
-            shown.append(value)
-    return shown
+            shown = token
+        else:
+            try:
+                shown = int(token)
+            except ValueError:
+                shown = value
+        pairs.append((shown, value))
+    return pairs
 
 
 def expand_space(space: dict[str, list]) -> list[dict]:
@@ -224,26 +216,20 @@ def expand_space(space: dict[str, list]) -> list[dict]:
             for combo in itertools.product(*(space[k] for k in keys))]
 
 
-def _overrides(assignment: dict) -> dict[str, dict]:
-    """A grid cell's values, each read as its field's type, by section."""
-    over: dict[str, dict] = {name: {} for name in _CONFIG_SECTIONS}
-    for key, shown in assignment.items():
-        section, kind = _grid_field(key)
-        over[section][key] = _value(key, str(shown), kind)
-    return over
-
-
-def _cell_train(train_cfg: TrainConfig, over: dict[str, dict]) -> TrainConfig:
-    weights = replace(train_cfg.loss_weights, **over["loss"])
-    return replace(train_cfg, loss_weights=weights, **over["train"])
-
-
-def apply_assignment(model: ModelConfig, train_cfg: TrainConfig,
-                     assignment: dict) -> tuple[ModelConfig, TrainConfig]:
-    """The configs of one grid cell: each value, read as its field's type,
-    replaces that field of the model, train or loss config."""
-    over = _overrides(assignment)
-    return replace(model, **over["model"]), _cell_train(train_cfg, over)
+def _grid_cells(space: dict[str, list], train_cfg: TrainConfig) -> list[tuple]:
+    """(label, [model] values, train config) of every cell of a grid of
+    (shown, value) candidates: the cell's [train] and [loss] values replace
+    those fields of train_cfg."""
+    cells = []
+    for assignment in expand_space(space):
+        label = ",".join(f"{k}={shown}" for k, (shown, _) in assignment.items())
+        over: dict[str, dict] = {name: {} for name in _CONFIG_SECTIONS}
+        for key, (_, value) in assignment.items():
+            over[_GRID_KEYS[key][0]][key] = value
+        weights = replace(train_cfg.loss_weights, **over["loss"])
+        cells.append((label, over["model"],
+                      replace(train_cfg, loss_weights=weights, **over["train"])))
+    return cells
 
 
 def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
@@ -254,7 +240,7 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     the classifier width) comes from the data rather than the file, and
     so an experiment that draws splits fails here when the data cannot
     give them. Every grid cell's configs are built here too, so a bad
-    cell fails at load.
+    cell fails at load, and kept as `spec.grid` for the gridsearch runner.
     """
     path = Path(path)
     if not path.is_file():
@@ -303,6 +289,8 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
                          if k != "ood_classes"},
                       ood_classes=frozenset(_int_list("ood_classes", ds["ood_classes"])))
         seed = _value("seed", ds["seed"], "int") if "seed" in ds else 0
+        if seed < 0:
+            raise ConfigError(f"[dataset] seed must be >= 0, got {seed}")
         recipe = ("sbm", sbm, seed)
         dataset_cfg = {"kind": "sbm", **asdict(sbm),
                        "ood_classes": sorted(sbm.ood_classes), "seed": seed}
@@ -310,24 +298,30 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
         raise ConfigError("[dataset] kind must be 'bundle' or 'sbm'")
 
     model_values = _section_values(parser, "model")
+    architecture = model_values.get("architecture", ModelConfig.architecture)
+    if name == "ablate-losses" and architecture != "oodgat":
+        raise ConfigError("ablate-losses requires an oodgat model")
     train_cfg = _config(parser, "train", loss_weights=_config(parser, "loss"))
     grid, cells = None, []
     if parser.has_section("grid"):
-        grid = {k: _grid_candidates(k, v) for k, v in parser.items("grid")}
-        cells = [_overrides(cell) for cell in expand_space(grid)]
-        for over in cells:
-            _cell_train(train_cfg, over)
+        if name != "gridsearch":
+            raise ConfigError(f"[grid] is read by gridsearch only, not by {name}")
+        space = {k: _grid_candidates(k, v) for k, v in parser.items("grid")}
+        grid = {k: [shown for shown, _ in pairs] for k, pairs in space.items()}
+        cells = _grid_cells(space, train_cfg)
+    elif name == "gridsearch":
+        raise ConfigError("gridsearch needs a [grid] section in the spec")
 
     graph = resolve_graph(recipe)
-    if name in SPLIT_EXPERIMENTS:
+    if name in RUNNERS:
         split_classes(graph)
     num_classes = int((np.unique(graph.labels[graph.identity == 0])).size)
     model = ModelConfig(num_classes=num_classes, **model_values)
-    for over in cells:  # a cell's model keys are checked once the class count is known
-        replace(model, **over["model"])
 
+    # a cell's model keys are checked once the class count is known
     spec = ExperimentSpec(name=name, dataset=recipe, model=model, train=train_cfg,
-                          grid=grid, **counts)
+                          grid=[(label, replace(model, **values), cell_train)
+                                for label, values, cell_train in cells], **counts)
     spec.config = {
         "experiment": name, "splits": spec.splits,
         "seeds_per_split": spec.seeds_per_split, "dataset": dataset_cfg,
@@ -694,8 +688,6 @@ def run_smoothing_roc(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1
 def run_loss_ablation(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
                       out_dir=None) -> RunReport:
     """The seven regularizer on/off rows with otherwise identical config."""
-    if spec.model.architecture != "oodgat":
-        raise ConfigError("ablate-losses requires an oodgat model")
     base = spec.train.loss_weights
     tasks: list[RunTask] = []
     for cond, use_con, use_ent, use_dis in ABLATION_ROWS:
@@ -709,13 +701,8 @@ def run_loss_ablation(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1
 def run_gridsearch(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
                    out_dir=None) -> RunReport:
     """Train every grid cell on split 0, one run per configured seed."""
-    if not spec.grid:
-        raise ConfigError("gridsearch needs a [grid] section in the spec")
-    cells = expand_space(spec.grid)
     tasks: list[RunTask] = []
-    for assignment in cells:
-        cond = ",".join(f"{k}={assignment[k]}" for k in sorted(assignment))
-        model, train_cfg = apply_assignment(spec.model, spec.train, assignment)
+    for cond, model, train_cfg in spec.grid:
         for seed_idx in range(spec.seeds_per_split):
             split_seed, train_seed = run_seeds(seed_base, 0, seed_idx)
             tasks.append(RunTask(run_id=f"{cond}-r{seed_idx}", condition=cond,
@@ -724,6 +711,17 @@ def run_gridsearch(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
                                  edge_filter=None, model=model,
                                  train=replace(train_cfg, seed=train_seed)))
     return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+
+
+# the experiments that train, each on splits drawn by make_splits
+RUNNERS = {
+    "train-eval": run_train_eval,
+    "edge-ablation": run_edge_ablation,
+    "smoothing-roc": run_smoothing_roc,
+    "ablate-losses": run_loss_ablation,
+    "gridsearch": run_gridsearch,
+}
+EXPERIMENT_NAMES = (*RUNNERS, "gen-sbm", "gradcheck", "homophily-check")
 
 
 def best_grid_condition(report: RunReport) -> tuple[str, float]:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, error lines, and output files."""
 
+import argparse
 import configparser
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from oodgat.cli import build_parser, main
+from oodgat.experiments import EXPERIMENT_NAMES
 
 TINY_SPEC = """\
 [experiment]
@@ -51,6 +53,11 @@ def test_parser_covers_all_subcommands():
         args = parser.parse_args([cmd])
         assert args.command == cmd
         assert args.workers == 1 and args.seed_base == 0
+
+
+def test_parser_subcommands_are_the_experiment_names():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == EXPERIMENT_NAMES
 
 
 def test_unknown_subcommand_exits_two():
@@ -174,6 +181,33 @@ def test_splits_that_cannot_be_drawn_fail_before_the_pool_starts(tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err == "ERROR GraphDataError: class 0 has 20 nodes, needs 30 for train+val\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("train-eval", "-7920"), ("train-eval", "-1"), ("gen-sbm", "-1"),
+    ("gradcheck", "-1"), ("homophily-check", "-1")])
+def test_negative_seed_base_is_single_error_line(tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    code = main([command, "--spec", str(tiny_spec(tmp_path, name=command)), "--out", str(out),
+                 f"--seed-base={seed}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR ConfigError: --seed-base must be >= 0, got {seed}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_negative_dataset_seed_is_single_error_line(tmp_path, capsys, monkeypatch):
+    def generate(*args):
+        raise AssertionError("the graph was generated")
+
+    monkeypatch.setattr("oodgat.experiments.sbm_generate", generate)
+    spec = tiny_spec(tmp_path)
+    spec.write_text(spec.read_text().replace("seed = 7", "seed = -2"))
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: [dataset] seed must be >= 0, got -2\n"
     assert not out.exists()
 
 

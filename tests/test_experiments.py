@@ -17,7 +17,6 @@ from oodgat.experiments import (
     RunRecord,
     RunReport,
     aggregate_runs,
-    apply_assignment,
     best_grid_condition,
     clear_graph_cache,
     expand_space,
@@ -38,8 +37,6 @@ from oodgat.experiments import (
     run_train_eval,
 )
 from oodgat.graphs import load_graph_bundle
-from oodgat.layers import ModelConfig
-from oodgat.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,7 +182,9 @@ def test_parse_spec_grid_section(tmp_path):
     path = write_spec(tmp_path, name="gridsearch",
                       extra="\n[grid]\nlr = 0.01, 0.1\nheads = 1, 4\n")
     spec = parse_spec(path)
-    assert spec.grid == {"lr": [0.01, 0.1], "heads": [1, 4]}
+    assert spec.config["grid"] == {"lr": [0.01, 0.1], "heads": [1, 4]}
+    assert [label for label, _, _ in spec.grid] == [
+        "heads=1,lr=0.01", "heads=1,lr=0.1", "heads=4,lr=0.01", "heads=4,lr=0.1"]
 
     bad = write_spec(tmp_path, name="gridsearch",
                      extra="\n[grid]\nwarp_speed = 9\n")
@@ -213,13 +212,12 @@ def test_grid_labels_keep_the_written_numbers(tmp_path):
     spec = parse_spec(write_spec(tmp_path, name="gridsearch", extra=(
         "\n[grid]\ndropout_p = 0, 0.5\nweight_decay = 0, 5e-5\n"
         "activation = elu, relu\n")))
-    assert spec.grid == {"dropout_p": [0, 0.5], "weight_decay": [0, 5e-05],
-                         "activation": ["elu", "relu"]}
-    cells = expand_space(spec.grid)
-    assert ",".join(f"{k}={v}" for k, v in cells[0].items()) == \
-        "activation=elu,dropout_p=0,weight_decay=0"
-    model, train_cfg = apply_assignment(spec.model, spec.train, cells[0])
+    assert spec.config["grid"] == {"dropout_p": [0, 0.5], "weight_decay": [0, 5e-05],
+                                   "activation": ["elu", "relu"]}
+    label, model, train_cfg = spec.grid[0]
+    assert label == "activation=elu,dropout_p=0,weight_decay=0"
     assert type(train_cfg.dropout_p) is float and train_cfg.weight_decay == 0.0
+    assert spec.grid[-1][0] == "activation=relu,dropout_p=0.5,weight_decay=5e-05"
 
 
 @pytest.mark.parametrize("line", ["seed = 1, 2", "architecture = gcn, mlp",
@@ -266,8 +264,13 @@ ood_classes = 2
     ("train-eval", "[loss]\nbeta = nan", "beta: expected a finite float"),
     ("gridsearch", "[grid]\nlr = 0.1, -1", "lr must be > 0"),
     ("gridsearch", "[grid]\nheads = 1, two", "heads: expected int"),
+    ("gridsearch", "", "gridsearch needs a \\[grid\\] section"),
+    ("ablate-losses", "[model]\narchitecture = gat", "ablate-losses requires an oodgat model"),
+    ("ablate-losses", "", "ablate-losses requires an oodgat model"),
+    ("train-eval", "[grid]\nlr = 0.1", "gridsearch only"),
 ], ids=["lr-type", "lr-range", "model-type", "model-key", "loss-value", "grid-range",
-        "grid-type"])
+        "grid-type", "grid-missing", "ablation-arch", "ablation-default-arch",
+        "grid-outside-gridsearch"])
 def test_spec_sections_fail_before_the_dataset_loads(tmp_path, monkeypatch, name,
                                                      sections, match):
     def load(*args):
@@ -306,20 +309,25 @@ def test_expand_space_rejects_bad_input():
         expand_space({})
     with pytest.raises(ConfigError, match="no candidate"):
         expand_space({"lr": []})
-    with pytest.raises(ConfigError, match="unknown grid field"):
-        apply_assignment(ModelConfig(num_classes=3), TrainConfig(), {"learning_rate": 0.1})
 
 
-def test_apply_assignment_routes_fields():
-    model = ModelConfig(architecture="oodgat", num_classes=4, heads=1)
-    cfg = TrainConfig()
-    model2, cfg2 = apply_assignment(model, cfg, {"heads": 8, "lr": 0.1, "beta": 3.0,
-                                                 "detach_consistency_target": "false"})
-    assert model2.heads == 8
-    assert cfg2.lr == 0.1
-    assert cfg2.loss_weights.beta == 3.0
-    assert cfg2.loss_weights.detach_consistency_target is False
-    assert model.heads == 1  # originals untouched
+def test_grid_cells_route_fields(tmp_path):
+    spec = parse_spec(write_spec(tmp_path, name="gridsearch", heads=1, extra=(
+        "\n[grid]\nheads = 8\nlr = 0.1\nbeta = 3.0\ndetach_consistency_target = on\n")))
+    [(label, model, train_cfg)] = spec.grid
+    assert label == "beta=3.0,detach_consistency_target=on,heads=8,lr=0.1"
+    assert model.heads == 8
+    assert train_cfg.lr == 0.1
+    assert train_cfg.loss_weights.beta == 3.0
+    assert train_cfg.loss_weights.detach_consistency_target is True
+    # the fields no cell sets keep the spec's values
+    assert model.architecture == "oodgat" and model.num_classes == spec.model.num_classes
+    assert train_cfg.weight_decay == spec.train.weight_decay
+    assert train_cfg.loss_weights.gamma == spec.train.loss_weights.gamma
+    # the spec's own configs are untouched
+    assert spec.model.heads == 1 and spec.train.lr == 0.01
+    assert spec.train.loss_weights.beta == 1.0
+    assert spec.train.loss_weights.detach_consistency_target is False
 
 
 COMMITTED_SPECS = sorted((ROOT / "specs").glob("*.spec")) + sorted(
@@ -346,10 +354,8 @@ def test_committed_spec_parses(tmp_path, spec_file):
     spec = parse_spec(copy)
     assert spec.name == parser["experiment"]["name"]
     if spec_file.name == "cora-gridsearch.spec":
-        cells = expand_space(spec.grid)
-        assert len(cells) == 48
-        configs = [apply_assignment(spec.model, spec.train, c) for c in cells]
-        assert {(m.heads, t.lr, t.dropout_p, t.weight_decay) for m, t in configs} == {
+        assert len(spec.grid) == 48
+        assert {(m.heads, t.lr, t.dropout_p, t.weight_decay) for _, m, t in spec.grid} == {
             (h, lr, dp, wd) for h in (1, 4, 8) for lr in (0.01, 0.1)
             for dp in (0.0, 0.5) for wd in (0.0, 5e-5, 5e-4, 5e-3)}
 
@@ -691,9 +697,8 @@ def test_loss_ablation_rows(tmp_path, outdir):
 
 
 def test_loss_ablation_requires_oodgat(tmp_path):
-    spec = parse_spec(write_spec(tmp_path, name="ablate-losses", arch="gcn", heads=1))
-    with pytest.raises(ConfigError, match="oodgat"):
-        run_loss_ablation(spec)
+    with pytest.raises(ConfigError, match="ablate-losses requires an oodgat model"):
+        parse_spec(write_spec(tmp_path, name="ablate-losses", arch="gcn", heads=1))
 
 
 def test_gridsearch_ranks_cells(tmp_path, outdir):
@@ -721,9 +726,8 @@ def test_gridsearch_bool_cells_train_differently(tmp_path, outdir):
 
 
 def test_gridsearch_needs_grid(tmp_path):
-    spec = parse_spec(write_spec(tmp_path, name="gridsearch"))
-    with pytest.raises(ConfigError, match="grid"):
-        run_gridsearch(spec)
+    with pytest.raises(ConfigError, match="gridsearch needs a \\[grid\\] section"):
+        parse_spec(write_spec(tmp_path, name="gridsearch"))
 
 
 def test_gen_sbm_round_trips_via_bundle(tmp_path):
