@@ -472,42 +472,60 @@ def weighted_sum(base, terms: Sequence, weights: Sequence[float], factor: float)
 
 @dataclass(frozen=True, eq=False)
 class SegmentIndex:
-    """Edge list sorted by target node, with group offsets.
+    """The CSR pattern of message passing: entry k is a message from
+    `sources[k]`, and group i, entries offsets[i]:offsets[i+1], holds the
+    messages into node i.
 
-    Entry k is a message from `sources[k]` into `targets[k]`. Rows for a
-    node's own self entry are always present, so every group is non-empty.
-    `offsets` has num_nodes+1 entries; group i spans offsets[i]:offsets[i+1].
-
-    The sparse matrices derived from the index are built on first use and
-    kept with it. `spmm` writes its weights into the shared `data` buffer
-    of `head_blocks`, so one index must not run spmm in two threads at once.
+    Every group is non-empty, as it holds the node's own self entry.
+    `targets` and `self_pos` follow from the pattern and are derived on
+    first use, as are the sparse matrices; all are kept with the index.
+    `spmm` writes its weights into the shared `data` buffer of
+    `head_blocks`, so one index must not run spmm in two threads at once.
     Indices compare and hash by identity, as those caches assume.
     """
 
-    targets: Array
     sources: Array
     offsets: Array
-    num_nodes: int
-    self_pos: Array = field(default=None, repr=False)  # entry index of each node's self edge
     _blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.targets, dtype=np.int64)
         s = np.asarray(self.sources, dtype=np.int64)
         off = np.asarray(self.offsets, dtype=np.int64)
-        object.__setattr__(self, "targets", t)
         object.__setattr__(self, "sources", s)
         object.__setattr__(self, "offsets", off)
-        if len(off) != self.num_nodes + 1 or off[0] != 0 or off[-1] != len(t):
+        if len(off) < 1 or off[0] != 0 or off[-1] != len(s):
             raise EngineError("segment offsets are inconsistent with the entry count")
         if np.any(np.diff(off) < 1):
             raise EngineError("every segment needs at least its self entry")
-        if np.any(np.diff(t) < 0):
-            raise EngineError("segment entries must be sorted by target")
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.offsets) - 1
 
     @property
     def num_entries(self) -> int:
-        return len(self.targets)
+        return len(self.sources)
+
+    @cached_property
+    def targets(self) -> Array:
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.offsets))
+
+    @cached_property
+    def self_pos(self) -> Array:
+        return np.flatnonzero(self.sources == self.targets)
+
+    def select(self, keep: Array, nodes: Array | None = None) -> SegmentIndex:
+        """The entries where the (E,) mask `keep` holds, in entry order, as
+        an index. With `nodes` (sorted ids), only their groups, with sources
+        renumbered to positions in `nodes`, which must hold them all."""
+        if nodes is not None:
+            keep = keep & np.isin(self.targets, nodes)
+        kept = np.zeros(self.num_entries + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        if nodes is None:
+            return SegmentIndex(self.sources[keep], kept[self.offsets])
+        return SegmentIndex(np.searchsorted(nodes, self.sources[keep]),
+                            np.append(0, kept[self.offsets[nodes + 1]]))
 
     @cached_property
     def normalized(self) -> sp.csr_matrix:
@@ -559,12 +577,9 @@ def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
     all_src = np.concatenate([src, np.arange(num_nodes, dtype=np.int64)])
     all_dst = np.concatenate([dst, np.arange(num_nodes, dtype=np.int64)])
     order = np.lexsort((all_src, all_dst))
-    all_src, all_dst = all_src[order], all_dst[order]
+    all_src = all_src[order]
     counts = np.bincount(all_dst, minlength=num_nodes)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    self_pos = np.flatnonzero(all_src == all_dst)
-    return SegmentIndex(targets=all_dst, sources=all_src, offsets=offsets,
-                        num_nodes=num_nodes, self_pos=self_pos)
+    return SegmentIndex(all_src, np.concatenate([[0], np.cumsum(counts)]))
 
 
 _LEAKY_SLOPE = 0.2

@@ -79,10 +79,6 @@ def run_seeds(seed_base: int, split_idx: int, seed_idx: int) -> tuple[int, int]:
 _GRAPH_CACHE: dict = {}
 
 
-def clear_graph_cache() -> None:
-    _GRAPH_CACHE.clear()
-
-
 def resolve_graph(recipe: tuple, edge_filter: tuple | None = None) -> Graph:
     """Materialize a dataset recipe, relabeled for training, with an
     optional (keep-classes, fraction, seed) edge filter applied."""
@@ -133,6 +129,7 @@ _SECTION_KEYS = {name: {f.name: f.type for f in fields(cls) if f.name not in _NO
 _GRID_KEYS = {key: (name, kind) for name, keys in _SECTION_KEYS.items()
               for key, kind in keys.items() if key != "architecture"}
 _SBM_KEYS = {f.name: f.type for f in fields(SbmSpec)}
+_DATASET_KEYS = {"bundle": {"kind", "path", "ood_classes"}, "sbm": {"kind", "seed", *_SBM_KEYS}}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
@@ -268,10 +265,14 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     if min(counts.values(), default=1) < 1:
         raise ConfigError("splits and seeds_per_split must be >= 1")
 
-    ds = _section(parser, "dataset", {"kind", "path", "seed", *_SBM_KEYS})
-    if not ds:
+    if not parser.has_section("dataset"):
         raise ConfigError("spec needs a [dataset] section")
-    kind = ds.get("kind")
+    kind = parser.get("dataset", "kind", fallback=None)
+    if kind not in _DATASET_KEYS:
+        raise ConfigError("[dataset] kind must be 'bundle' or 'sbm'")
+    if name == "gen-sbm" and kind != "sbm":
+        raise ConfigError("gen-sbm needs [dataset] kind=sbm")
+    ds = _section(parser, "dataset", _DATASET_KEYS[kind])
     if kind == "bundle":
         if "path" not in ds or "ood_classes" not in ds:
             raise ConfigError("[dataset] kind=bundle needs path= and ood_classes=")
@@ -281,7 +282,7 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
         ood = tuple(sorted(_int_list("ood_classes", ds["ood_classes"])))
         recipe = ("bundle", str(bundle), ood)
         dataset_cfg = {"kind": "bundle", "path": str(bundle), "ood_classes": list(ood)}
-    elif kind == "sbm":
+    else:
         missing = _SBM_KEYS.keys() - ds.keys()
         if missing:
             raise ConfigError(f"[dataset] kind=sbm missing key(s): {sorted(missing)}")
@@ -294,8 +295,6 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
         recipe = ("sbm", sbm, seed)
         dataset_cfg = {"kind": "sbm", **asdict(sbm),
                        "ood_classes": sorted(sbm.ood_classes), "seed": seed}
-    else:
-        raise ConfigError("[dataset] kind must be 'bundle' or 'sbm'")
 
     model_values = _section_values(parser, "model")
     architecture = model_values.get("architecture", ModelConfig.architecture)
@@ -737,8 +736,6 @@ def best_grid_condition(report: RunReport) -> tuple[str, float]:
 
 def run_gen_sbm(spec: ExperimentSpec, out_dir) -> dict:
     """Write the spec's block-model graph out as a bundle directory."""
-    if spec.dataset[0] != "sbm":
-        raise ConfigError("gen-sbm needs [dataset] kind=sbm")
     _, sbm, seed = spec.dataset
     graph = sbm_generate(sbm, seed)
     out = Path(out_dir)

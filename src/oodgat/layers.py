@@ -132,13 +132,7 @@ def drop_edge(index: SegmentIndex, p: float, rng: np.random.Generator) -> Segmen
         return index
     keep = rng.random(index.num_entries) >= p
     keep[index.self_pos] = True  # the self term of the aggregation is fixed
-    targets = index.targets[keep]
-    sources = index.sources[keep]
-    counts = np.bincount(targets, minlength=index.num_nodes)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return SegmentIndex(targets=targets, sources=sources, offsets=offsets,
-                        num_nodes=index.num_nodes,
-                        self_pos=np.flatnonzero(targets == sources))
+    return index.select(keep)
 
 
 def _input_dropout(x, p: float, rng: np.random.Generator):
@@ -265,54 +259,32 @@ class ReceptiveField:
                                                                           axis=0)
 
 
-def _field_entries(index: SegmentIndex, rows: np.ndarray, whole: np.ndarray):
-    """(entry positions, offsets) of the groups of `rows` in entry order: a
-    row in `whole` keeps its group, any other row only its self entry."""
-    full = np.isin(rows, whole)
-    lengths = np.where(full, np.diff(index.offsets)[rows], 1)
-    starts = np.where(full, index.offsets[rows], index.self_pos[rows])
-    ends = np.cumsum(lengths)
-    entries = np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
-    return entries, np.concatenate([[0], ends])
-
-
-def _in_neighbourhood(index: SegmentIndex, nodes: np.ndarray) -> np.ndarray:
-    """Sorted sources of the groups of `nodes`; self entries include them."""
-    return np.unique(index.sources[_field_entries(index, nodes, nodes)[0]])
-
-
-def _sub_index(index: SegmentIndex, rows: np.ndarray, whole: np.ndarray) -> SegmentIndex:
-    entries, offsets = _field_entries(index, rows, whole)
-    targets = np.repeat(np.arange(len(rows)), np.diff(offsets))
-    sources = np.searchsorted(rows, index.sources[entries])
-    return SegmentIndex(targets=targets, sources=sources, offsets=offsets,
-                        num_nodes=len(rows), self_pos=np.flatnonzero(targets == sources))
-
-
-def _sub_propagation(index: SegmentIndex, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    entries, offsets = _field_entries(index, rows, rows)
-    return sp.csr_matrix((index.normalized.data[entries],
-                          np.searchsorted(cols, index.sources[entries]), offsets),
-                         shape=(len(rows), len(cols)))
+def _sub_index(index: SegmentIndex, whole: np.ndarray, rows: np.ndarray) -> SegmentIndex:
+    """The groups of `rows`: whole where the entry mask `whole` holds, else
+    only the self entry."""
+    keep = whole.copy()
+    keep[index.self_pos] = True
+    return index.select(keep, rows)
 
 
 def receptive_field(index: SegmentIndex, nodes, architecture: str) -> ReceptiveField:
     """The receptive field of `nodes` in a two-layer `architecture` model:
     0 hops for mlp, 2 for the message-passing models. Built without a
-    per-node loop; the groups of `index` must hold their self entries at
-    `index.self_pos`."""
+    per-node loop; every group of `index` must hold one self entry."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if architecture == "mlp":
         return ReceptiveField(nodes=nodes, rows=nodes)
-    inner = _in_neighbourhood(index, nodes)
-    outer = _in_neighbourhood(index, inner)
+    into_nodes = np.isin(index.targets, nodes)  # self entries make nodes part of inner
+    inner = np.unique(index.sources[into_nodes])
+    into_inner = np.isin(index.targets, inner)
+    outer = np.unique(index.sources[into_inner])
     if architecture == "gcn":
         return ReceptiveField(nodes=nodes, rows=outer,
-                              layer1=_sub_propagation(index, inner, outer),
-                              layer2=_sub_propagation(index, nodes, inner))
+                              layer1=index.normalized[inner][:, outer],
+                              layer2=index.normalized[nodes][:, inner])
     return ReceptiveField(nodes=nodes, rows=outer,
-                          layer1=_sub_index(index, outer, inner),
-                          layer2=_sub_index(index, inner, nodes),
+                          layer1=_sub_index(index, into_inner, outer),
+                          layer2=_sub_index(index, into_nodes, inner),
                           keep1=np.searchsorted(outer, inner),
                           keep2=np.searchsorted(inner, nodes))
 

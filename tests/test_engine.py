@@ -299,15 +299,25 @@ def test_build_segment_index_drops_duplicate_self_loops():
 
 
 def test_segment_index_validation():
-    with pytest.raises(EngineError, match="sorted"):
-        SegmentIndex(targets=np.array([1, 0]), sources=np.array([0, 0]),
-                     offsets=np.array([0, 1, 2]), num_nodes=2)
     with pytest.raises(EngineError, match="self entry"):
-        SegmentIndex(targets=np.array([0, 0]), sources=np.array([0, 1]),
-                     offsets=np.array([0, 2, 2]), num_nodes=2)
+        SegmentIndex(sources=np.array([0, 1]), offsets=np.array([0, 2, 2]))
     with pytest.raises(EngineError, match="offsets"):
-        SegmentIndex(targets=np.array([0, 1]), sources=np.array([0, 1]),
-                     offsets=np.array([0, 1]), num_nodes=2)
+        SegmentIndex(sources=np.array([0, 1]), offsets=np.array([0, 1]))
+
+
+def test_select_keeps_entries_in_entry_order():
+    idx = small_index()  # sources [0, 1, 2 | 1 | 0, 2], offsets [0, 3, 4, 6]
+    kept = idx.select(np.array([True, False, True, True, False, True]))
+    np.testing.assert_array_equal(kept.sources, [0, 2, 1, 2])
+    np.testing.assert_array_equal(kept.offsets, [0, 2, 3, 4])
+    np.testing.assert_array_equal(kept.targets, [0, 0, 1, 2])
+    np.testing.assert_array_equal(kept.self_pos, [0, 2, 3])
+    # only the groups of nodes 0 and 2, whose sources 0 and 2 become 0 and 1
+    sub = idx.select(np.array([True, False, True, True, True, True]), np.array([0, 2]))
+    np.testing.assert_array_equal(sub.sources, [0, 1, 0, 1])
+    np.testing.assert_array_equal(sub.offsets, [0, 2, 4])
+    np.testing.assert_array_equal(sub.targets, [0, 0, 1, 1])
+    np.testing.assert_array_equal(sub.self_pos, [0, 3])
 
 
 def test_segment_softmax_hand_example():

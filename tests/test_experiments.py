@@ -18,7 +18,6 @@ from oodgat.experiments import (
     RunReport,
     aggregate_runs,
     best_grid_condition,
-    clear_graph_cache,
     expand_space,
     export_report,
     gradcheck_battery,
@@ -243,42 +242,51 @@ def test_bad_grid_cell_fails_at_load(tmp_path, line, match):
         parse_spec(write_spec(tmp_path, name="gridsearch", extra=f"\n[grid]\n{line}\n"))
 
 
-BUNDLE_SPEC = """\
+EARLY_SPEC = """\
 [experiment]
 name = {name}
 
 [dataset]
-kind = bundle
-path = no-such-bundle
-ood_classes = 2
+{dataset}
 
 {sections}
 """
+BUNDLE_DATASET = "kind = bundle\npath = no-such-bundle\nood_classes = 2"
+SBM_DATASET = ("kind = sbm\nclasses = 4\nnodes_per_class = 50\np_intra = 0.1\np_inter = 0.01\n"
+               "feature_dim = 3\nclass_mean_separation = 3.0\nood_classes = 3")
 
 
-@pytest.mark.parametrize("name, sections, match", [
-    ("train-eval", "[train]\nlr = x", "lr: expected float"),
-    ("train-eval", "[train]\nlr = -1", "lr must be > 0"),
-    ("train-eval", "[model]\nheads = 2.5", "heads: expected int"),
-    ("train-eval", "[model]\nwings = 2", "unknown key"),
-    ("train-eval", "[loss]\nbeta = nan", "beta: expected a finite float"),
-    ("gridsearch", "[grid]\nlr = 0.1, -1", "lr must be > 0"),
-    ("gridsearch", "[grid]\nheads = 1, two", "heads: expected int"),
-    ("gridsearch", "", "gridsearch needs a \\[grid\\] section"),
-    ("ablate-losses", "[model]\narchitecture = gat", "ablate-losses requires an oodgat model"),
-    ("ablate-losses", "", "ablate-losses requires an oodgat model"),
-    ("train-eval", "[grid]\nlr = 0.1", "gridsearch only"),
+@pytest.mark.parametrize("name, dataset, sections, match", [
+    ("train-eval", BUNDLE_DATASET, "[train]\nlr = x", "lr: expected float"),
+    ("train-eval", BUNDLE_DATASET, "[train]\nlr = -1", "lr must be > 0"),
+    ("train-eval", BUNDLE_DATASET, "[model]\nheads = 2.5", "heads: expected int"),
+    ("train-eval", BUNDLE_DATASET, "[model]\nwings = 2", "unknown key"),
+    ("train-eval", BUNDLE_DATASET, "[loss]\nbeta = nan", "beta: expected a finite float"),
+    ("gridsearch", BUNDLE_DATASET, "[grid]\nlr = 0.1, -1", "lr must be > 0"),
+    ("gridsearch", BUNDLE_DATASET, "[grid]\nheads = 1, two", "heads: expected int"),
+    ("gridsearch", BUNDLE_DATASET, "", "gridsearch needs a \\[grid\\] section"),
+    ("ablate-losses", BUNDLE_DATASET, "[model]\narchitecture = gat",
+     "ablate-losses requires an oodgat model"),
+    ("ablate-losses", BUNDLE_DATASET, "", "ablate-losses requires an oodgat model"),
+    ("train-eval", BUNDLE_DATASET, "[grid]\nlr = 0.1", "gridsearch only"),
+    ("train-eval", BUNDLE_DATASET + "\nseed = -5\np_intra = 0.9", "",
+     "unknown key\\(s\\): \\['p_intra', 'seed'\\]"),
+    ("train-eval", SBM_DATASET + "\npath = x", "", "unknown key\\(s\\): \\['path'\\]"),
+    ("gen-sbm", BUNDLE_DATASET, "", "gen-sbm needs \\[dataset\\] kind=sbm"),
 ], ids=["lr-type", "lr-range", "model-type", "model-key", "loss-value", "grid-range",
         "grid-type", "grid-missing", "ablation-arch", "ablation-default-arch",
-        "grid-outside-gridsearch"])
-def test_spec_sections_fail_before_the_dataset_loads(tmp_path, monkeypatch, name,
+        "grid-outside-gridsearch", "sbm-keys-in-bundle", "bundle-key-in-sbm",
+        "gen-sbm-from-bundle"])
+def test_spec_sections_fail_before_the_dataset_loads(tmp_path, monkeypatch, name, dataset,
                                                      sections, match):
     def load(*args):
         raise AssertionError("the dataset was loaded")
 
     monkeypatch.setattr(experiments, "load_graph_bundle", load)
+    monkeypatch.setattr(experiments, "sbm_generate", load)
     path = tmp_path / "early.spec"
-    path.write_text(BUNDLE_SPEC.format(name=name, sections=sections), encoding="utf-8")
+    path.write_text(EARLY_SPEC.format(name=name, dataset=dataset, sections=sections),
+                    encoding="utf-8")
     with pytest.raises(ConfigError, match=match):
         parse_spec(path)
 
@@ -360,14 +368,14 @@ def test_committed_spec_parses(tmp_path, spec_file):
             for dp in (0.0, 0.5) for wd in (0.0, 5e-5, 5e-4, 5e-3)}
 
 
-def test_resolve_graph_caches(tmp_path):
+def test_resolve_graph_caches(tmp_path, monkeypatch):
     spec = parse_spec(write_spec(tmp_path))
     g1 = resolve_graph(spec.dataset)
     g2 = resolve_graph(spec.dataset)
     assert g1 is g2
     filtered = resolve_graph(spec.dataset, (("intra_id",), 1.0, 3))
     assert filtered.num_edges < g1.num_edges
-    clear_graph_cache()
+    monkeypatch.setattr(experiments, "_GRAPH_CACHE", {})
     assert resolve_graph(spec.dataset) is not g1
 
 
@@ -758,7 +766,7 @@ path = bundle
 ood_classes = 3
 """, encoding="utf-8")
     with pytest.raises(ConfigError, match="kind=sbm"):
-        run_gen_sbm(parse_spec(bundle_spec), tmp_path / "x")
+        parse_spec(bundle_spec)
 
 
 # ---------------------------------------------------------------------------

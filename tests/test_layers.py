@@ -333,11 +333,7 @@ def test_duplicate_neighbor_entry_counts_twice():
     # oracle where that adjacency entry has multiplicity 2
     from oodgat.engine import SegmentIndex
 
-    targets = np.array([0, 0, 0, 1, 1])
-    sources = np.array([0, 1, 1, 0, 1])
-    idx = SegmentIndex(targets=targets, sources=sources,
-                       offsets=np.array([0, 3, 5]), num_nodes=2,
-                       self_pos=np.array([0, 4]))
+    idx = SegmentIndex(sources=np.array([0, 1, 1, 0, 1]), offsets=np.array([0, 3, 5]))
     rng = np.random.default_rng(16)
     h = rng.standard_normal((2, 3))
     W = Tensor(np.eye(3))

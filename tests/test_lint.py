@@ -1,6 +1,7 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and two guards on
-src/: every public engine function is used, and no sparse matrix is made
-dense outside the places that must.
+"""Unused-import lint over src/, tests/ and perfbench/, and three guards
+on src/: every public engine function is used, no sparse matrix is made
+dense outside the places that must, and only the engine builds a
+message-passing index.
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -103,15 +104,9 @@ def test_every_engine_function_is_used_by_the_program():
     assert sorted(names - used) == []
 
 
-# Graph features stay CSR from load onward when they are sparse. A CSR is
-# made dense only row by row in the bundle writer, and whole only by the
-# feature form rule when under a quarter of its entries are zero.
-DENSIFY_ALLOWED = {"oodgat/graphs.py": {"_dense_rows", "_feature_form"}}
-
-
-def densify_calls(source: str) -> list[tuple[int, str]]:
-    """(line, innermost enclosing function or "") of every call of a
-    `.toarray()` or `.todense()` method."""
+def calls_of(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "") of every call of a name
+    in `names`, bare (`f(...)`) or as an attribute (`x.f(...)`)."""
     tree = ast.parse(source)
     owner: dict[int, str] = {}
     for fn in ast.walk(tree):  # breadth first, so inner functions overwrite
@@ -119,8 +114,20 @@ def densify_calls(source: str) -> list[tuple[int, str]]:
             for inner in ast.walk(fn):
                 owner[id(inner)] = fn.name
     return sorted((node.lineno, owner.get(id(node), "")) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("toarray", "todense"))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def calls_outside(allowed: dict[str, set[str]], names: set[str]) -> list[str]:
+    """Calls in src/ of a name in `names` outside the functions `allowed`
+    lists for their module."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        name = path.relative_to(ROOT / "src").as_posix()
+        for line, fn in calls_of(path.read_text(), names):
+            if fn not in allowed.get(name, set()):
+                found.append(f"src/{name}:{line}: in {fn or '<module>'}")
+    return found
 
 
 def test_densify_calls_name_their_function():
@@ -128,15 +135,26 @@ def test_densify_calls_name_their_function():
               "def outer(m):\n"
               "    def inner():\n"
               "        return m.toarray()\n"
-              "    return [r.toarray() for r in m], m.tocsr()\n")
-    assert densify_calls(source) == [(1, ""), (4, "inner"), (5, "outer")]
+              "    return [r.toarray() for r in m], m.tocsr(), toarray(m)\n")
+    assert calls_of(source, {"toarray", "todense"}) == [(1, ""), (4, "inner"), (5, "outer"),
+                                                        (5, "outer")]
+
+
+# Graph features stay CSR from load onward when they are sparse. A CSR is
+# made dense only row by row in the bundle writer, and whole only by the
+# feature form rule when under a quarter of its entries are zero.
+DENSIFY_ALLOWED = {"oodgat/graphs.py": {"_dense_rows", "_feature_form"}}
 
 
 def test_no_sparse_matrix_is_made_dense_outside_its_places():
-    found = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        name = path.relative_to(ROOT / "src").as_posix()
-        for line, fn in densify_calls(path.read_text()):
-            if fn not in DENSIFY_ALLOWED.get(name, set()):
-                found.append(f"src/{name}:{line}: in {fn or '<module>'}")
-    assert found == []
+    assert calls_outside(DENSIFY_ALLOWED, {"toarray", "todense"}) == []
+
+
+# The message-passing index is built in the engine only: the graph's index
+# by `build_segment_index`, and every sub-index of it (drop-edge, the
+# receptive field) as an entry selection.
+INDEX_BUILDERS = {"oodgat/engine.py": {"build_segment_index", "select"}}
+
+
+def test_segment_index_is_built_only_in_the_engine():
+    assert calls_outside(INDEX_BUILDERS, {"SegmentIndex"}) == []
