@@ -69,6 +69,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.seed_base < 0:
         raise ConfigError(f"--seed-base must be >= 0, got {args.seed_base}")
+    if args.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {args.workers}")
     if args.command == "gradcheck":
         failed = 0
         for name, report in gradcheck_battery(seed=args.seed_base):
@@ -86,17 +88,15 @@ def _dispatch(args) -> int:
               f"min_margin={stats['min_margin']:.6f}")
         return 0 if ok else 1
 
-    _need(args, "spec")
+    _need(args, "spec", "out")
     spec = parse_spec(args.spec, expected_name=args.command)
 
     if args.command == "gen-sbm":
-        _need(args, "out")
         meta = run_gen_sbm(spec, args.out)
         print(f"gen-sbm: wrote {meta['nodes']} nodes / {meta['edges']} edges "
               f"to {args.out} (node_homophily={meta['node_homophily']:.4f})")
         return 0
 
-    _need(args, "out")
     report = RUNNERS[args.command](spec, seed_base=args.seed_base,
                                    workers=args.workers, out_dir=args.out)
     sys.stdout.write(report_text_table(report))

@@ -417,7 +417,7 @@ def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
         vals[f"auroc_{tag}"] = metrics.auroc(s)
         vals[f"aupr_{tag}"] = metrics.aupr(s)
         vals[f"fpr95_{tag}"] = metrics.fpr_at_tpr(s)
-        f1, thr = metrics.joint_f1(out.probs.values, s, graph.labels, test)
+        f1, thr = metrics.joint_f1(out.probs.values, s, graph.labels)
         vals[f"joint_f1_{tag}"] = f1
         vals[f"joint_thr_{tag}"] = float(thr)
         if want_curves:

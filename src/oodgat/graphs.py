@@ -214,105 +214,63 @@ def make_graph(num_nodes: int, edges, features, labels, identity) -> Graph:
 # bundle IO
 
 
-def _read_lines(path: Path) -> list[str]:
+def _table(path: Path, sep: str | None, dtype) -> np.ndarray:
+    """The (rows, width) table of a bundle file's non-blank lines, parsed
+    by numpy (`sep` None splits on whitespace); an empty (0, 1) table if
+    there are none. Raises GraphDataError naming the file on bytes that
+    are not UTF-8 and on any value or row numpy rejects."""
     if not path.is_file():
         raise GraphDataError(f"missing bundle file: {path}")
-    text = path.read_text(encoding="utf-8")
-    return [ln for ln in text.split("\n") if ln.strip()]
+    try:
+        # universal newlines: "\r\n" and a lone "\r" end a line too
+        lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln.strip()]
+        if not lines:
+            return np.zeros((0, 1), dtype=dtype)
+        return np.loadtxt(lines, dtype=dtype, delimiter=sep, comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise GraphDataError(f"{path.name}: {exc}") from None
+
+
+def _id_table(path: Path, sep: str | None, width: int) -> np.ndarray:
+    """The (rows, width) int64 ids of labels.tsv or edges.tsv."""
+    table = _table(path, sep, np.int64)
+    if len(table) and table.shape[1] != width:
+        raise GraphDataError(f"{path.name}: expected {width} id(s) per line, "
+                             f"got {table.shape[1]}")
+    return table.reshape(-1, width)
 
 
 _NEWLINE = ord("\n")
-# a token of at most 15 digits is below 10**15 < 2**53, so float64 holds
-# it, and every partial sum of its digit places, exactly
-_MAX_DIGITS = 15
 
 
-def _int_table(path: Path, sep: str) -> np.ndarray | None:
-    """A bundle file read as bytes: the (rows, width) float64 table of its
-    integers, or None unless the file is a canonical integer table.
-
-    Canonical means ASCII digits only, `sep` between the tokens of a row
-    and "\n" after each row (optional after the last), 1-15 digits per
-    token and the same width in every row. Every other file (signs,
-    spaces, decimals, CRLF, blank lines, ragged rows, an empty file) is
-    left to the line readers, which give its values or its error.
-    """
-    table = _token_table(path, sep)
-    return None if table is None else table.astype(np.float64, copy=False)
-
-
-def _token_table(path: Path, sep: str) -> np.ndarray | None:
-    """As `_int_table`, but a table of one-digit tokens comes back as its
-    uint8 digits. A first row that is not canonical declines the file
-    before the rest of it is read."""
+def _digit_table(path: Path) -> np.ndarray | None:
+    """The (rows, width) uint8 digit table of a features.csv whose every
+    value is one ASCII digit, with "," between the values of a row and
+    "\n" after each row (optional after the last); else None. A first row
+    that is not such a row declines the file before the rest is read.
+    Besides the file's bytes, at most one array of a byte per value is
+    alive at a time."""
     if not path.is_file():
         return None
     with open(path, "rb") as fh:
         first = fh.readline()
-    tokens = first.removesuffix(b"\n").split(sep.encode())
-    if not all(t.isdigit() and len(t) <= _MAX_DIGITS for t in tokens):
+    tokens = first.removesuffix(b"\n").split(b",")
+    if not all(len(t) == 1 and t.isdigit() for t in tokens):
         return None
+    width = len(tokens)
     u = np.fromfile(path, dtype=np.uint8)
     if u[-1] != _NEWLINE:
         u = np.append(u, np.uint8(_NEWLINE))
-    if all(len(t) == 1 for t in tokens):
-        digits = _one_byte_tokens(u, ord(sep), len(tokens))
-        if digits is not None:
-            return digits
-    return _multi_byte_tokens(u, ord(sep))
-
-
-def _table_shape(terminators: np.ndarray, sep: int) -> tuple[int, int] | None:
-    """(rows, width) when every token ends in `sep` or a newline and every
-    row holds the same number of tokens, else None."""
-    is_newline = terminators == _NEWLINE
-    rows = int(np.count_nonzero(is_newline))  # >= 1: the last byte is one
-    if rows + np.count_nonzero(terminators == sep) != len(terminators):
-        return None
-    width = len(terminators) // rows
-    if rows * width != len(terminators) or not is_newline[width - 1::width].all():
-        return None
-    return rows, width
-
-
-def _one_byte_tokens(u: np.ndarray, sep: int, width: int) -> np.ndarray | None:
-    """The (rows, width) uint8 digit table when every token is one digit,
-    else None. Besides `u`, at most one array of a byte per token is
-    alive at a time."""
     if len(u) % (2 * width):
         return None
-    # every even byte is a digit and every odd byte the token's terminator
+    # every even byte is a digit and every odd byte the value's terminator
     terminators = u[1::2].reshape(-1, width)
-    if not ((terminators[:, -1] == _NEWLINE).all() and (terminators[:, :-1] == sep).all()):
+    if not ((terminators[:, -1] == _NEWLINE).all() and (terminators[:, :-1] == ord(",")).all()):
         return None
     digits = u[0::2] - np.uint8(48)  # a non-digit byte wraps past 9
     if digits.max() > 9:
         return None
     return digits.reshape(-1, width)
-
-
-def _multi_byte_tokens(u: np.ndarray, sep: int) -> np.ndarray | None:
-    """The float64 table of tokens of 1-15 digits, or None."""
-    ends = np.flatnonzero((u - np.uint8(48)) > 9)
-    shape = _table_shape(u[ends], sep)
-    lengths = np.diff(ends, prepend=-1) - 1
-    if shape is None or lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
-        return None
-    values = np.zeros(len(ends))
-    for place in range(int(lengths.max())):  # one vectorized pass per digit place
-        digit = np.where(lengths > place, u[ends - 1 - place] - np.uint8(48), 0)
-        values += digit * 10.0 ** place
-    return values.reshape(shape)
-
-
-def _read_labels(path: Path) -> np.ndarray:
-    table = _int_table(path, "\t")
-    if table is not None and table.shape[1] == 1:
-        return table[:, 0].astype(np.int64)
-    try:
-        return np.array([int(ln.strip()) for ln in _read_lines(path)], dtype=np.int64)
-    except ValueError as exc:
-        raise GraphDataError(f"labels.tsv: {exc}") from None
 
 
 def _digit_features(digits: np.ndarray):
@@ -332,38 +290,11 @@ def _digit_features(digits: np.ndarray):
 
 
 def _read_features(path: Path, num_nodes: int):
-    table = _token_table(path, ",")
-    feat_lines = _read_lines(path) if table is None else table
-    if len(feat_lines) != num_nodes:
-        raise GraphDataError(f"features.csv has {len(feat_lines)} rows, labels.tsv has {num_nodes}")
-    if table is not None:
-        return _digit_features(table) if table.dtype == np.uint8 else table
-    width = feat_lines[0].count(",") + 1
-    for i, ln in enumerate(feat_lines):
-        if ln.count(",") + 1 != width:
-            raise GraphDataError(f"features.csv row {i} has {ln.count(',') + 1} values, "
-                                 f"expected {width}")
-    try:
-        return np.loadtxt(feat_lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # numpy names the row, counted from 0 as above
-        raise GraphDataError(f"features.csv: {exc}") from None
-
-
-def _read_edges(path: Path) -> np.ndarray:
-    table = _int_table(path, "\t")
-    if table is not None and table.shape[1] == 2:
-        return table.astype(np.int64)
-    edge_lines = _read_lines(path)
-    raw = np.empty((len(edge_lines), 2), dtype=np.int64)
-    for i, ln in enumerate(edge_lines):
-        parts = ln.split("\t")
-        if len(parts) != 2:
-            raise GraphDataError(f"edges.tsv line {i}: expected two tab-separated ids")
-        try:
-            raw[i] = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise GraphDataError(f"edges.tsv line {i}: {exc}") from None
-    return raw
+    digits = _digit_table(path)
+    table = _table(path, ",", np.float64) if digits is None else digits
+    if len(table) != num_nodes:
+        raise GraphDataError(f"features.csv has {len(table)} rows, labels.tsv has {num_nodes}")
+    return table if digits is None else _digit_features(digits)
 
 
 def load_graph_bundle(path, ood_classes) -> Graph:
@@ -377,19 +308,20 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     if not ood_classes:
         raise GraphDataError("ood_classes is empty; at least one class must be out-of-distribution")
 
-    labels = _read_labels(root / "labels.tsv")
+    # whitespace around a label is ignored, tabs included
+    labels = _id_table(root / "labels.tsv", None, 1)[:, 0]
     num_nodes = len(labels)
     if num_nodes == 0:
         raise GraphDataError("labels.tsv lists no nodes")
     features = _read_features(root / "features.csv", num_nodes)
-    raw = _read_edges(root / "edges.tsv")
-    if len(raw) and (raw.min() < 0 or raw.max() >= num_nodes):
+    raw = _id_table(root / "edges.tsv", "\t", 2)
+    if ((raw < 0) | (raw >= num_nodes)).any():
         raise GraphDataError("edges.tsv references a node id out of range")
 
-    self_loops = int((raw[:, 0] == raw[:, 1]).sum()) if len(raw) else 0
-    clean = raw[raw[:, 0] != raw[:, 1]] if len(raw) else raw
+    loops = raw[:, 0] == raw[:, 1]
+    clean = raw[~loops]
     canonical = _canonical_edges(clean)
-    duplicates = len(clean) - len(canonical)
+    self_loops, duplicates = int(loops.sum()), len(clean) - len(canonical)
     if self_loops or duplicates:
         log.warning("dropped %d self-loop(s) and %d duplicate edge(s) while loading %s",
                     self_loops, duplicates, root)
@@ -397,7 +329,8 @@ def load_graph_bundle(path, ood_classes) -> Graph:
     present = set(np.unique(labels).tolist())
     expected = set(range(int(labels.max()) + 1))
     if present != expected:
-        raise GraphDataError(f"labels must be contiguous from 0; missing {sorted(expected - present)}")
+        raise GraphDataError(f"labels.tsv: labels must be contiguous from 0; "
+                             f"missing {sorted(expected - present)}")
     unknown = ood_classes - present
     if unknown:
         raise GraphDataError(f"ood_classes references unknown class(es) {sorted(unknown)}")
@@ -405,7 +338,10 @@ def load_graph_bundle(path, ood_classes) -> Graph:
         raise GraphDataError("ood_classes covers every class; at least one ID class is required")
 
     identity = np.isin(labels, sorted(ood_classes)).astype(np.int8)
-    return make_graph(num_nodes, canonical, features, labels, identity)
+    try:
+        return make_graph(num_nodes, canonical, features, labels, identity)
+    except GraphDataError as exc:  # the ids are checked above, so the features are at fault
+        raise GraphDataError(f"features.csv: {exc}") from None
 
 
 def _write_atomic(path: Path, lines: Iterable[str]) -> None:

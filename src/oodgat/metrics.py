@@ -164,9 +164,9 @@ def accuracy(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((pred == np.asarray(labels)[mask]).mean())
 
 
-def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray,
-             mask: np.ndarray) -> tuple[float, float]:
-    """Best weighted-F1 over the (C+1)-way joint task and its threshold.
+def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray) -> tuple[float, float]:
+    """Best weighted-F1 over the (C+1)-way joint task and its threshold,
+    on the nodes of `s.eval_mask`.
 
     For threshold theta a node is predicted OOD (class C) when its score
     is >= theta, otherwise argmax over the C ID classes. True class is C
@@ -178,11 +178,8 @@ def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray,
     integer prefix sums, and the F1 arithmetic is the per-threshold
     formula applied to all candidates at once, in the same class order.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise MetricError("joint_f1 mask is empty")
-    scores = s.scores[mask]
-    ident = s.identity[mask].astype(bool)
+    scores, ident = s.masked()
+    mask = s.eval_mask
     num_id_classes = probs.shape[1]
     pred_id = np.argmax(probs[mask], axis=1)
     true_cls = np.where(ident, num_id_classes, np.asarray(labels)[mask])

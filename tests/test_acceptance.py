@@ -248,7 +248,7 @@ def test_criterion_3_metric_oracles():
         s = ScoredNodes(scores=scores.astype(float), identity=identity,
                         eval_mask=mask)
         assert auroc(s) == _pairwise_auroc(scores, identity), f"case {case}"
-        got = joint_f1(probs, s, labels, mask)
+        got = joint_f1(probs, s, labels)
         want = _oracle_joint_f1(probs, scores, labels, identity)
         assert got[0] == want[0] and got[1] == want[1], f"case {case}"
     elapsed = time.monotonic() - started

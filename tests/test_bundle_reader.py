@@ -1,14 +1,14 @@
-"""The byte reader for bundle files (`graphs._int_table`) against the line
-readers it stands in front of.
+"""Bundle files in, `Graph` arrays or one `GraphDataError` out.
 
-A canonical integer table must load bit for bit as the line readers load
-it; any other file must be declined, so its values or its error message
-stay the line readers'. The guard at the end loads the benchmark's
-generated bundles with the line readers disabled, so a change that makes
-the byte reader decline them fails here rather than as a slower set-up,
-and loads the Cora-shaped one under tracemalloc, so a change that builds
-its dense feature table again fails here rather than as a larger peak.
-This module reads perfbench/graphgen.py and never edits it.
+`OUTCOMES` is the reader's outcome table. Each input changes one file (or
+the same kind of line in all three) of a small valid bundle, and its row
+gives the arrays the bundle loads to or the exact error, which names the
+file at fault. numpy parses every table (`graphs._table`). Only a
+`features.csv` whose values are all one ASCII digit is read as bytes
+(`graphs._digit_table`); the tests after the table hold that path to the
+CSR of the numpy-parsed table, to its first-row decline, and to its memory
+bound on the benchmark's Cora-shaped bundle. This module reads
+perfbench/graphgen.py and never edits it.
 """
 
 import importlib.util
@@ -23,6 +23,7 @@ from oodgat import graphs
 from oodgat.errors import GraphDataError
 
 GRAPHGEN = Path(__file__).resolve().parents[1] / "perfbench" / "graphgen.py"
+FILES = {"labels": "labels.tsv", "features": "features.csv", "edges": "edges.tsv"}
 
 
 def load_graphgen():
@@ -30,6 +31,173 @@ def load_graphgen():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def write_files(root, labels="0\n1\n1\n", features="0,1\n1,0\n1,1\n", edges="0\t1\n1\t2\n"):
+    root.mkdir(parents=True, exist_ok=True)
+    for key, text in (("labels", labels), ("features", features), ("edges", edges)):
+        (root / FILES[key]).write_bytes(text if isinstance(text, bytes) else text.encode())
+    return root
+
+
+# ---------------------------------------------------------------------------
+# the outcome table
+
+
+EDGES, FEATURES, LABELS = [[0, 1], [1, 2]], [[0, 1], [1, 0], [1, 1]], [0, 1, 1]
+
+
+def loads(edges=EDGES, features=FEATURES, labels=LABELS):
+    return "loads", edges, features, labels
+
+
+def fails(message):
+    return "fails", message
+
+
+def columns_changed(name, before, after, row):
+    return fails(f"{name}: the number of columns changed from {before} to {after} at row "
+                 f"{row}; use `usecols` to select a subset and avoid this error")
+
+
+def not_converted(name, text, dtype, row, column):
+    return fails(f"{name}: could not convert string {text!r} to {dtype} at row {row}, "
+                 f"column {column}.")
+
+
+EVERY_FILE = {
+    "crlf": (dict(labels="0\r\n1\r\n1\r\n", features="0,1\r\n1,0\r\n1,1\r\n",
+                  edges="0\t1\r\n1\t2\r\n"), loads()),
+    "blank lines": (dict(labels="0\n\n1\n1\n\n", features="\n0,1\n1,0\n\n1,1\n",
+                         edges="0\t1\n\n1\t2\n"), loads()),
+    "whitespace-only lines": (dict(labels="0\n \n1\n1\n", features="0,1\n \t \n1,0\n1,1\n",
+                                   edges="  \n0\t1\n1\t2\n"), loads()),
+    "tab-only lines": (dict(labels="\t\n0\n1\n1\n", features="0,1\n1,0\n\t\n1,1\n",
+                            edges="0\t1\n\t\t\n1\t2\n"), loads()),
+}
+
+# one changed file per row, so an error in labels.tsv cannot hide the other two
+ONE_FILE = {
+    "spaces": {
+        "labels": (" 0\n1 \n1\n", loads()),
+        "features": ("0, 1\n1,0\n1,1\n", loads()),
+        "edges": ("0\t 1\n1\t2\n", loads()),
+    },
+    "tabs around a label": {"labels": ("0\t\n\t1\n 1 \t\n", loads())},
+    "signs": {
+        "labels": ("+0\n1\n1\n", loads()),
+        "features": ("-1,1\n1,0\n1,+1\n", loads(features=[[-1, 1], [1, 0], [1, 1]])),
+        "edges": ("-0\t1\n", loads(edges=[[0, 1]])),
+    },
+    "decimals": {
+        "labels": ("0\n1.0\n1\n", not_converted("labels.tsv", "1.0", "int64", 1, 1)),
+        "features": ("0,1.0\n1,0\n1,1\n", loads()),
+        "edges": ("0\t1.0\n", not_converted("edges.tsv", "1.0", "int64", 0, 2)),
+    },
+    "exponents": {"features": ("1e3,2E-2\n1,0\n1.5e+1,1\n",
+                               loads(features=[[1000, 0.02], [1, 0], [15, 1]]))},
+    "16 digits": {
+        "labels": ("0\n1\n0000000000000001\n", loads()),
+        "features": ("1234567890123456,1\n1,0\n1,1\n",
+                     loads(features=[[1234567890123456, 1], [1, 0], [1, 1]])),
+        "edges": ("0000000000000000\t0000000000000001\n", loads(edges=[[0, 1]])),
+    },
+    # 2**53 + 1 rounds to the nearest double, as float() rounds it
+    "16-digit features": {"features": ("9007199254740993,1\n1,0\n1,1\n",
+                                       loads(features=[[2.0 ** 53, 1], [1, 0], [1, 1]]))},
+    "19 digits": {"labels": ("0\n1\n0000000000000000001\n", loads())},
+    "20 digits": {
+        "labels": ("0\n1\n99999999999999999999\n",
+                   not_converted("labels.tsv", "99999999999999999999", "int64", 2, 1)),
+        "edges": ("0\t99999999999999999999\n",
+                  not_converted("edges.tsv", "99999999999999999999", "int64", 0, 2)),
+    },
+    "ragged rows": {"features": ("0,1\n1\n1,1\n", columns_changed("features.csv", 2, 1, 2))},
+    "ragged edges": {"edges": ("0\t1\n1\t2\t0\n", columns_changed("edges.tsv", 2, 3, 2))},
+    "wide labels": {"labels": ("0\t0\n1\t1\n1\t1\n",
+                               fails("labels.tsv: expected 1 id(s) per line, got 2"))},
+    "narrow edges": {"edges": ("0\n1\n", fails("edges.tsv: expected 2 id(s) per line, got 1"))},
+    "empty labels": {"labels": ("", fails("labels.tsv lists no nodes"))},
+    "empty features": {"features": ("", fails("features.csv has 0 rows, labels.tsv has 3"))},
+    "empty edges": {"edges": ("", loads(edges=[]))},
+    "blank edges": {"edges": ("\n", loads(edges=[]))},
+    "row count": {"features": ("0,1\n1,0\n", fails("features.csv has 2 rows, labels.tsv has 3"))},
+    "row count, one digit": {"features": ("0,1\n1,0\n1,1\n0,0\n",
+                                          fails("features.csv has 4 rows, labels.tsv has 3"))},
+    "row count, many digits": {"features": ("0,10\n1,0\n1,1\n0,0\n",
+                                            fails("features.csv has 4 rows, labels.tsv has 3"))},
+    "letters": {
+        "labels": ("0\n1\nx\n", not_converted("labels.tsv", "x", "int64", 2, 1)),
+        "features": ("0,1\n1,a\n1,1\n", not_converted("features.csv", "a", "float64", 1, 2)),
+        "edges": ("0\tb\n", not_converted("edges.tsv", "b", "int64", 0, 2)),
+    },
+    "comment sign": {
+        "labels": ("#\n0\n1\n1\n", not_converted("labels.tsv", "#", "int64", 0, 1)),
+        "edges": ("0\t1\n#1\t2\n", not_converted("edges.tsv", "#1", "int64", 1, 1)),
+    },
+    "separator": {
+        "features": ("0;1\n1;0\n1;1\n", not_converted("features.csv", "0;1", "float64", 0, 1)),
+        "edges": ("0,1\n1,2\n", not_converted("edges.tsv", "0,1", "int64", 0, 1)),
+    },
+    "nan": {"features": ("0,nan\n1,0\n1,1\n",
+                         fails("features.csv: feature row 0 has a non-finite value"))},
+    "trailing separator": {"features": ("0,1,\n1,0,\n1,1,\n",
+                                        not_converted("features.csv", "", "float64", 0, 3))},
+    "gap in labels": {"labels": ("0\n2\n2\n",
+                                 fails("labels.tsv: labels must be contiguous from 0; missing [1]"))},
+    "id out of range": {"edges": ("0\t3\n", fails("edges.tsv references a node id out of range"))},
+    # Python's int() read these; numpy reads ASCII digits only
+    "non-ASCII digits": {
+        "labels": ("0\n1\n١\n", not_converted("labels.tsv", "١", "int64", 2, 1)),
+        "edges": ("0\t１\n", not_converted("edges.tsv", "１", "int64", 0, 2)),
+    },
+    "underscore in an id": {"labels": ("0\n1\n0_1\n", not_converted("labels.tsv", "0_1", "int64",
+                                                                     2, 1))},
+    "invalid UTF-8": {
+        "labels": (b"0\n1\n\xff\n", fails("labels.tsv: 'utf-8' codec can't decode byte 0xff "
+                                          "in position 4: invalid start byte")),
+        # the first row is a one-digit row, so the byte path declines only at the 0xff
+        "features": (b"0,1\n1,0\n1,\xff\n", fails("features.csv: 'utf-8' codec can't decode "
+                                                  "byte 0xff in position 10: invalid start byte")),
+        "edges": (b"0\t1\n\xfe\t2\n", fails("edges.tsv: 'utf-8' codec can't decode byte 0xfe "
+                                             "in position 4: invalid start byte")),
+    },
+}
+
+OUTCOMES = dict(EVERY_FILE)
+OUTCOMES.update({f"{name}-{key}": ({key: text}, outcome) for name, files in ONE_FILE.items()
+                 for key, (text, outcome) in files.items()})
+
+
+@pytest.mark.parametrize("files, outcome", OUTCOMES.values(), ids=list(OUTCOMES))
+def test_outcome_table(tmp_path, files, outcome):
+    root = write_files(tmp_path / "b", **files)
+    if outcome[0] == "fails":
+        with pytest.raises(GraphDataError) as info:
+            graphs.load_graph_bundle(root, (1,))
+        [key] = files
+        assert str(info.value) == outcome[1]
+        assert str(info.value).startswith(FILES[key])
+        return
+    _, edges, features, labels = outcome
+    g = graphs.load_graph_bundle(root, (1,))
+    for array, dtype, want in ((g.edges, np.int64, np.reshape(edges, (-1, 2))),
+                               (g.labels, np.int64, labels),
+                               (g.identity, np.int8, np.array(labels) == 1)):
+        assert array.dtype == dtype and array.flags.c_contiguous
+        np.testing.assert_array_equal(array, want)
+    # three 0/1 rows hold at least a quarter of nonzeros, so the form is dense
+    assert isinstance(g.features, np.ndarray) and g.features.dtype == np.float64
+    assert g.features.tobytes() == np.array(features, dtype=np.float64).tobytes()
+
+
+def test_a_missing_file_is_named(tmp_path):
+    with pytest.raises(GraphDataError, match="missing bundle file: .*labels.tsv"):
+        graphs.load_graph_bundle(tmp_path, {1})
+    write_files(tmp_path)
+    (tmp_path / "edges.tsv").unlink()
+    with pytest.raises(GraphDataError, match="missing bundle file: .*edges.tsv"):
+        graphs.load_graph_bundle(tmp_path, {1})
 
 
 def random_table(rng, rows, width, max_digits):
@@ -44,155 +212,27 @@ def render(table, sep, final_newline=True):
     return text + "\n" if final_newline else text
 
 
-def line_readers(monkeypatch):
-    """Decline every file in the byte reader, as if it did not exist."""
-    monkeypatch.setattr(graphs, "_token_table", lambda path, sep: None)
-
-
-def load_outcome(root, ood_classes=(1,)):
-    """Everything a load gives back: the Graph arrays or the error."""
-    try:
-        g = graphs.load_graph_bundle(root, ood_classes)
-    except (GraphDataError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-    return [(a.dtype.str, a.shape, a.flags.c_contiguous, a.tobytes())
-            for a in (g.edges, g.features, g.labels, g.identity)]
-
-
-def write_files(root, labels="0\n1\n1\n", features="0,1\n1,0\n1,1\n",
-                edges="0\t1\n1\t2\n"):
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "labels.tsv").write_bytes(labels.encode())
-    (root / "features.csv").write_bytes(features.encode())
-    (root / "edges.tsv").write_bytes(edges.encode())
-    return root
-
-
-# ---------------------------------------------------------------------------
-# canonical tables read as the line readers read them
-
-
 @pytest.mark.parametrize("final_newline", [True, False])
-@pytest.mark.parametrize("width", [1, 2, 3])
-@pytest.mark.parametrize("max_digits", [1, 4, 15])
-def test_feature_tables_match_the_line_reader(tmp_path, monkeypatch, width, max_digits,
-                                              final_newline):
-    rng = np.random.default_rng(100 * width + max_digits)
-    rows = int(rng.integers(1, 40))
-    path = tmp_path / "features.csv"
-    path.write_bytes(render(random_table(rng, rows, width, max_digits), ",",
-                            final_newline).encode())
-    fast = graphs._int_table(path, ",")
-    assert fast is not None and fast.dtype == np.float64
-    expected = graphs._read_features(path, rows)
-    line_readers(monkeypatch)
-    slow = graphs._read_features(path, rows)
-    assert slow.tobytes() == fast.tobytes() == expected.tobytes()
-    assert slow.shape == fast.shape == (rows, width)
-
-
-@pytest.mark.parametrize("final_newline", [True, False])
-@pytest.mark.parametrize("max_digits", [1, 3, 15])
-def test_label_and_edge_tables_match_the_line_readers(tmp_path, monkeypatch, max_digits,
-                                                      final_newline):
+@pytest.mark.parametrize("max_digits", [1, 4, 15, 18])
+def test_integer_tables_are_exact(tmp_path, max_digits, final_newline):
+    # ids up to 18 digits are exact int64; integer features up to 15 digits
+    # (below 2**53) are exact float64
     rng = np.random.default_rng(max_digits)
     rows = int(rng.integers(1, 60))
-    labels, edges = tmp_path / "labels.tsv", tmp_path / "edges.tsv"
-    labels.write_bytes(render(random_table(rng, rows, 1, max_digits), "\t",
-                              final_newline).encode())
-    edges.write_bytes(render(random_table(rng, rows, 2, max_digits), "\t",
-                             final_newline).encode())
-    assert graphs._int_table(labels, "\t").shape == (rows, 1)
-    assert graphs._int_table(edges, "\t").shape == (rows, 2)
-    fast = graphs._read_labels(labels), graphs._read_edges(edges)
-    line_readers(monkeypatch)
-    slow = graphs._read_labels(labels), graphs._read_edges(edges)
-    for a, b in zip(fast, slow):
-        assert a.dtype == b.dtype == np.int64
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_whole_bundle_matches_the_line_readers(tmp_path, monkeypatch):
-    root = write_files(tmp_path / "b", labels="0\n2\n1\n2\n",
-                       features="0,1,0\n1,0,0\n1,1,1\n0,0,7\n",
-                       edges="3\t0\n1\t2\n2\t1\n2\t2\n0\t1\n")
-    fast = load_outcome(root, (2,))
-    line_readers(monkeypatch)
-    assert load_outcome(root, (2,)) == fast
+    for name, sep, width, dtype in (("labels.tsv", None, 1, np.int64),
+                                    ("edges.tsv", "\t", 2, np.int64),
+                                    ("features.csv", ",", 3, np.float64)):
+        table = random_table(rng, rows, width, min(max_digits, 15 if dtype is np.float64 else 18))
+        path = tmp_path / name
+        path.write_bytes(render(table, "\t" if sep is None else sep, final_newline).encode())
+        got = graphs._table(path, sep, dtype)
+        want = np.array([[int(t) for t in row] for row in table], dtype=dtype)
+        assert got.dtype == dtype and got.shape == (rows, width)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# anything else goes to the line readers
-
-
-DECLINED = {
-    "crlf": dict(labels="0\r\n1\r\n1\r\n", features="0,1\r\n1,0\r\n1,1\r\n",
-                 edges="0\t1\r\n1\t2\r\n"),
-    "blank lines": dict(labels="0\n\n1\n1\n\n", features="\n0,1\n1,0\n\n1,1\n",
-                        edges="0\t1\n\n1\t2\n"),
-    "spaces": dict(labels=" 0\n1 \n1\n", features="0, 1\n1,0\n1,1\n",
-                   edges="0\t 1\n1\t2\n"),
-    "signs": dict(labels="+0\n1\n1\n", features="-1,1\n1,0\n1,+1\n", edges="-0\t1\n"),
-    "decimals": dict(labels="0\n1.0\n1\n", features="0,1.0\n1,0\n1,1\n", edges="0\t1.0\n"),
-    "16 digits": dict(labels="0\n1\n0000000000000001\n",
-                      features="1234567890123456,1\n1,0\n1,1\n",
-                      edges="0000000000000000\t0000000000000001\n"),
-    "16-digit features": dict(features="9007199254740993,1\n1,0\n1,1\n"),
-    "ragged rows": dict(features="0,1\n1\n1,1\n"),
-    "ragged edges": dict(edges="0\t1\n1\t2\t0\n"),
-    "wide labels": dict(labels="0\t0\n1\t1\n1\t1\n"),
-    "empty labels": dict(labels=""),
-    "empty features": dict(features=""),
-    "empty edges": dict(edges=""),
-    "blank edges": dict(edges="\n"),
-    "row count": dict(features="0,1\n1,0\n"),
-    "row count, one digit": dict(features="0,1\n1,0\n1,1\n0,0\n"),
-    "row count, many digits": dict(features="0,10\n1,0\n1,1\n0,0\n"),
-    "letters": dict(labels="0\n1\nx\n", features="0,1\n1,a\n1,1\n", edges="0\tb\n"),
-    "separator": dict(features="0;1\n1;0\n1;1\n", edges="0,1\n1,2\n"),
-    "nan": dict(features="0,nan\n1,0\n1,1\n"),
-    "trailing separator": dict(features="0,1,\n1,0,\n1,1,\n"),
-    "utf-8 digits": dict(labels="0\n1\n١\n"),
-}
-
-
-# one file at a time, so an error in labels.tsv cannot hide the other two
-ONE_FILE = {f"{name}-{file}": {file: text}
-            for name, files in DECLINED.items() for file, text in files.items()}
-
-
-@pytest.mark.parametrize("files", ONE_FILE.values(), ids=list(ONE_FILE))
-def test_other_inputs_give_the_line_readers_result(tmp_path, monkeypatch, files):
-    root = write_files(tmp_path / "b", **files)
-    fast = load_outcome(root)
-    line_readers(monkeypatch)
-    assert load_outcome(root) == fast
-
-
-@pytest.mark.parametrize("text, sep", [
-    ("0\r\n1\r\n", "\t"), ("0\n\n1\n", "\t"), ("0 \n", "\t"), ("+1\n", "\t"),
-    ("1.0\n", "\t"), ("1234567890123456\n", "\t"), ("0,1\n1\n", ","), ("", ","),
-    ("\n", ","), ("0,1,\n", ","), ("0\t1\n", ","), ("\n0\n", "\t"), ("0\n\n", "\t"),
-])
-def test_reader_declines_non_canonical_files(tmp_path, text, sep):
-    path = tmp_path / "table"
-    path.write_bytes(text.encode())
-    assert graphs._int_table(path, sep) is None
-
-
-def test_reader_declines_a_missing_file(tmp_path):
-    assert graphs._int_table(tmp_path / "absent.tsv", "\t") is None
-    with pytest.raises(GraphDataError, match="missing bundle file"):
-        graphs.load_graph_bundle(tmp_path, {1})
-
-
-@pytest.mark.parametrize("first_row", ["0.5,1\n", "-1,0\n", "1,0\r\n", "1, 0\n"])
-def test_a_non_canonical_first_row_declines_before_the_rest_is_read(tmp_path, monkeypatch,
-                                                                    first_row):
-    path = tmp_path / "features.csv"
-    path.write_bytes((first_row + "0,1\n" * 100).encode())
-    monkeypatch.setattr(graphs.np, "fromfile", _refuse("np.fromfile"))
-    assert graphs._int_table(path, ",") is None
+# the one-digit byte path
 
 
 def csr_parts(m):
@@ -200,61 +240,85 @@ def csr_parts(m):
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
-def test_sparse_digit_features_match_the_line_readers(tmp_path, monkeypatch, final_newline):
+@pytest.mark.parametrize("density", [0.08, 0.6])
+def test_digit_features_equal_the_numpy_table(tmp_path, final_newline, density):
     rng = np.random.default_rng(11)
     rows, width = 37, 23
-    table = np.where(rng.random((rows, width)) < 0.08, rng.integers(1, 10, (rows, width)), 0)
+    table = np.where(rng.random((rows, width)) < density, rng.integers(1, 10, (rows, width)), 0)
     table[[0, 5, -1]] = 0  # empty rows at both ends and inside
-    root = write_files(tmp_path / "b", labels="".join(f"{i % 3}\n" for i in range(rows)),
-                       features=render(table.astype(str).tolist(), ",", final_newline))
-    fast = graphs.load_graph_bundle(root, (2,)).features
-    line_readers(monkeypatch)
-    slow = graphs.load_graph_bundle(root, (2,)).features
-    assert sp.isspmatrix_csr(fast) and sp.isspmatrix_csr(slow)
-    assert csr_parts(fast) == csr_parts(slow) == csr_parts(sp.csr_matrix(table.astype(float)))
+    path = tmp_path / "features.csv"
+    path.write_bytes(render(table.astype(str).tolist(), ",", final_newline).encode())
+    digits = graphs._digit_table(path)
+    assert digits.dtype == np.uint8 and digits.shape == (rows, width)
+    fast = graphs._read_features(path, rows)
+    numpy_table = graphs._table(path, ",", np.float64)
+    if density < 0.25:
+        assert sp.isspmatrix_csr(fast)
+        assert csr_parts(fast) == csr_parts(sp.csr_matrix(numpy_table))
+    else:
+        assert fast.dtype == np.float64 and fast.tobytes() == numpy_table.tobytes()
 
 
-def test_fifteen_digit_tokens_are_exact(tmp_path):
-    path = tmp_path / "table"
-    path.write_bytes(b"999999999999999,000000000000001\n123456789012345,7\n")
-    np.testing.assert_array_equal(graphs._int_table(path, ","),
-                                  [[999999999999999.0, 1.0], [123456789012345.0, 7.0]])
+@pytest.mark.parametrize("text", [
+    "0,1\r\n1,0\r\n", "0,1\n\n1,0\n", "0,1\n10,0\n", "0,1\n0.5,0\n", "0,1\n1\n", "0,1\n1,0,1\n",
+    "0,1\n1,a\n", "0,1,\n1,0,\n", "0\t1\n1\t0\n", "0,1\n1, 0\n", "0,1\n\n",
+])
+def test_digit_table_declines_other_files(tmp_path, text):
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.encode())
+    assert graphs._digit_table(path) is None
 
 
-# ---------------------------------------------------------------------------
-# the benchmark bundles take the byte reader
-
-
-def _refuse(name, original=None):
-    def reader(path, *args, **kwargs):
-        if original is None or Path(path).name != "features.csv":
-            raise AssertionError(f"{name} called for {path}")
-        return original(path, *args, **kwargs)
+def _refuse(name):
+    def reader(*args, **kwargs):
+        raise AssertionError(f"{name} called")
     return reader
 
 
-@pytest.mark.parametrize("generator, ood_classes, binary", [
-    ("cora_shaped", (0, 1, 3), True),
-    ("sparse_sbm", (6, 7), False),
+@pytest.mark.parametrize("first_row", ["0.5,1\n", "-1,0\n", "1,0\r\n", "1, 0\n", "10,0\n", "\n"])
+def test_a_first_row_that_is_not_one_digit_declines_before_the_rest_is_read(
+        tmp_path, monkeypatch, first_row):
+    path = tmp_path / "features.csv"
+    path.write_bytes((first_row + "0,1\n" * 100).encode())
+    monkeypatch.setattr(graphs.np, "fromfile", _refuse("np.fromfile"))
+    assert graphs._digit_table(path) is None
+    assert graphs._digit_table(tmp_path / "absent.csv") is None
+
+
+# ---------------------------------------------------------------------------
+# each side of the choice on the benchmark bundles
+
+
+def _recording_tables(monkeypatch):
+    read = []
+    table = graphs._table
+
+    def recorded(path, *args):
+        read.append(path.name)
+        return table(path, *args)
+    monkeypatch.setattr(graphs, "_table", recorded)
+    return read
+
+
+@pytest.mark.parametrize("generator, ood_classes, numpy_files", [
+    ("cora_shaped", (0, 1, 3), ["labels.tsv", "edges.tsv"]),
+    ("sparse_sbm", (6, 7), ["labels.tsv", "features.csv", "edges.tsv"]),
 ])
-def test_benchmark_bundles_skip_the_line_readers(tmp_path, monkeypatch, generator,
-                                                 ood_classes, binary):
+def test_benchmark_bundles_take_their_side(tmp_path, monkeypatch, generator, ood_classes,
+                                           numpy_files):
     graphgen = load_graphgen()
     data = getattr(graphgen, generator)(0)
     graphgen.write_bundle(data, tmp_path)
-    if binary:
-        monkeypatch.setattr(graphs, "_read_lines", _refuse("_read_lines"))
-        monkeypatch.setattr(graphs.np, "loadtxt", _refuse("np.loadtxt"))
-    else:  # real-valued features still go through the line reader
-        monkeypatch.setattr(graphs, "_read_lines", _refuse("_read_lines", graphs._read_lines))
+    read = _recording_tables(monkeypatch)
     g = graphs.load_graph_bundle(tmp_path, ood_classes)
+    assert read == numpy_files  # the Cora-shaped features never reach np.loadtxt
     np.testing.assert_array_equal(g.edges, data.edges)
     np.testing.assert_array_equal(g.labels, data.labels)
-    if binary:
-        assert g.features.toarray().tobytes() == data.features.astype(np.float64).tobytes()
+    features = g.features.toarray() if sp.issparse(g.features) else g.features
+    assert features.tobytes() == np.asarray(data.features, dtype=np.float64).tobytes()
 
 
-def test_sparse_features_load_without_the_dense_table(tmp_path, monkeypatch):
+def test_sparse_features_load_without_the_dense_table(tmp_path):
     graphgen = load_graphgen()
     data = graphgen.cora_shaped(0)
     graphgen.write_bundle(data, tmp_path)
@@ -269,7 +333,5 @@ def test_sparse_features_load_without_the_dense_table(tmp_path, monkeypatch):
     features = g.features
     assert sp.isspmatrix_csr(features) and features.indices.dtype == np.int32
     assert features.has_sorted_indices and np.all(features.data != 0)
-    line_readers(monkeypatch)
-    dense = graphs._read_features(tmp_path / "features.csv", rows)
-    assert features.toarray().tobytes() == dense.tobytes()
+    dense = graphs._table(tmp_path / "features.csv", ",", np.float64)
     assert csr_parts(features) == csr_parts(sp.csr_matrix(dense))

@@ -166,6 +166,31 @@ def test_workers_below_one_is_single_error_line(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def missing_bundle_spec(tmp_path):
+    """A spec whose bundle is absent, so any flag error it reports was found
+    before the spec loaded."""
+    spec = tiny_spec(tmp_path)
+    text = spec.read_text()
+    dataset = text[text.index("[dataset]"):text.index("[model]")]
+    spec.write_text(text.replace(dataset, "[dataset]\nkind = bundle\npath = no-such-bundle\n"
+                                          "ood_classes = 2\n\n"))
+    return spec
+
+
+def test_missing_out_is_reported_before_the_spec_loads(tmp_path, capsys):
+    assert main(["train-eval", "--spec", str(missing_bundle_spec(tmp_path))]) == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: --out is required for train-eval\n"
+
+
+def test_workers_below_one_is_reported_before_the_spec_loads(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["train-eval", "--spec", str(missing_bundle_spec(tmp_path)), "--out", str(out),
+                 "--workers", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "ERROR ConfigError: workers must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_splits_that_cannot_be_drawn_fail_before_the_pool_starts(tmp_path, capsys,
                                                                   monkeypatch):
     def no_pool(*args, **kwargs):

@@ -181,7 +181,8 @@ def test_load_bundle_ragged_features(tmp_path):
     root = tmp_path / "b"
     write_bundle(root, [(0, 1)], np.zeros((2, 2)), [0, 1])
     (root / "features.csv").write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(GraphDataError, match="row 1"):
+    with pytest.raises(GraphDataError, match="^features.csv: the number of columns changed "
+                                             "from 2 to 1 at row 2;"):
         load_graph_bundle(root, ood_classes={1})
 
 

@@ -1,7 +1,7 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and three guards
+"""Unused-import lint over src/, tests/ and perfbench/, and four guards
 on src/: every public engine function is used, no sparse matrix is made
-dense outside the places that must, and only the engine builds a
-message-passing index.
+dense outside the places that must, only the engine builds a
+message-passing index, and bundle text has one parser.
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -158,3 +158,12 @@ INDEX_BUILDERS = {"oodgat/engine.py": {"build_segment_index", "select"}}
 
 def test_segment_index_is_built_only_in_the_engine():
     assert calls_outside(INDEX_BUILDERS, {"SegmentIndex"}) == []
+
+
+# Bundle text has one parser: numpy reads every table in `_table`, and only
+# a one-digit features.csv is read as bytes, in `_digit_table`.
+TABLE_PARSERS = {"oodgat/graphs.py": {"_table", "_digit_table"}}
+
+
+def test_bundle_text_has_one_parser():
+    assert calls_outside(TABLE_PARSERS, {"loadtxt", "genfromtxt", "fromfile"}) == []

@@ -245,7 +245,7 @@ def test_joint_f1_perfect():
     probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
     s = scored([0.1, 0.2, 0.9, 0.8], [0, 0, 1, 1])
     labels = np.array([0, 1, 0, 0])
-    f1, theta = joint_f1(probs, s, labels, np.ones(4, bool))
+    f1, theta = joint_f1(probs, s, labels)
     assert f1 == 1.0
     assert theta == 0.8
 
@@ -260,7 +260,7 @@ def test_joint_f1_all_ood_closed_form():
     labels = np.zeros(6, dtype=int)
     # all-tied scores make -inf and the single threshold equivalent: both
     # predict everything OOD, so the sweep's best is at least the closed form
-    f1, _ = joint_f1(probs, s, labels, np.ones(6, bool))
+    f1, _ = joint_f1(probs, s, labels)
     assert f1 >= want - 1e-12
     pred = np.full(6, 3)
     true_cls = np.where(identity == 1, 3, labels)
@@ -279,7 +279,7 @@ def test_joint_f1_six_node_toy_matches_oracle():
     scores = np.array([0.1, 0.2, 0.9, 0.8, 0.7, 0.3])  # one OOD node inverted
     identity = np.array([0, 0, 0, 1, 1, 1])
     labels = np.array([0, 1, 2, 0, 0, 0])
-    got = joint_f1(probs, scored(scores, identity), labels, np.ones(6, bool))
+    got = joint_f1(probs, scored(scores, identity), labels)
     want = oracle_joint_f1(probs, scores, labels, identity)
     assert got == want
 
@@ -297,7 +297,7 @@ def test_joint_f1_matches_oracle_randomized():
             scores = rng.standard_normal(m)
         identity = (rng.random(m) < 0.4).astype(int)
         labels = rng.integers(0, C, size=m)
-        got = joint_f1(probs, scored(scores, identity), labels, np.ones(m, bool))
+        got = joint_f1(probs, scored(scores, identity), labels)
         want = oracle_joint_f1(probs, scores, labels, identity)
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -314,7 +314,7 @@ def test_joint_f1_matches_oracle_at_scale():
         scores = rng.integers(0, 16, size=m) / 8.0 - 1.0
         identity = (rng.random(m) < 0.35).astype(int)
         labels = rng.integers(0, C, size=m)
-        got = joint_f1(probs, scored(scores, identity), labels, np.ones(m, bool))
+        got = joint_f1(probs, scored(scores, identity), labels)
         want = oracle_joint_f1(probs, scores, labels, identity)
         assert got[0] == want[0]
         assert got[1] == want[1]
@@ -330,13 +330,29 @@ def test_joint_f1_theta_keeps_the_first_signed_zero():
     for zeros in ([-0.0, 0.0], [0.0, -0.0]):
         scores = np.array([-1.0, -2.0] + zeros)
         s = scored(scores, identity)
-        f1, theta = joint_f1(probs, s, labels, np.ones(4, bool))
+        f1, theta = joint_f1(probs, s, labels)
         want_f1, want_theta = oracle_joint_f1(probs, scores, labels, identity)
         assert (f1, theta) == (want_f1, want_theta) == (1.0, 0.0)
         assert np.signbit(theta) == np.signbit(want_theta) == np.signbit(zeros[0])
         pts = roc_points(s)
         assert pts[1].tolist() == [0.0, 1.0, 0.0]
         assert np.signbit(pts[1, 0]) == np.signbit(zeros[-1])
+
+
+def test_joint_f1_reads_only_the_evaluation_mask():
+    # a NaN score outside the mask is never read; inside, ScoredNodes refuses it
+    rng = np.random.default_rng(5)
+    m = 40
+    probs = rng.random((m, 3))
+    labels, identity = rng.integers(0, 3, m), (np.arange(m) % 3 == 0).astype(np.int8)
+    scores = rng.standard_normal(m)
+    mask = np.arange(m) % 4 != 1
+    scores[~mask] = np.nan
+    got = joint_f1(probs, ScoredNodes(scores=scores, identity=identity, eval_mask=mask), labels)
+    want = oracle_joint_f1(probs[mask], scores[mask], labels[mask], identity[mask])
+    assert got == want
+    with pytest.raises(MetricError, match="non-finite score"):
+        ScoredNodes(scores=scores, identity=identity, eval_mask=np.ones(m, bool))
 
 
 # ---------------------------------------------------------------------------
