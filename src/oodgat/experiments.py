@@ -410,10 +410,8 @@ def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
     vals: dict = {"accuracy": metrics.accuracy(out.probs.values, graph.labels,
                                                test & (graph.identity == 0))}
     curves: dict = {}
-    for kind, tag in (("entropy", "ent"), ("attention", "att")):
-        if kind == "attention" and out.att_score is None:
-            continue
-        s = metrics.ood_scores(out, kind, graph.identity, test)
+    for tag, scores in metrics.detection_scores(out).items():
+        s = metrics.ScoredNodes(scores, graph.identity, test)
         vals[f"auroc_{tag}"] = metrics.auroc(s)
         vals[f"aupr_{tag}"] = metrics.aupr(s)
         vals[f"fpr95_{tag}"] = metrics.fpr_at_tpr(s)

@@ -326,6 +326,8 @@ def load_graph_bundle(path, ood_classes) -> Graph:
         log.warning("dropped %d self-loop(s) and %d duplicate edge(s) while loading %s",
                     self_loops, duplicates, root)
 
+    if labels.min() < 0:
+        raise GraphDataError(f"labels.tsv: label {labels.min()} is below 0")
     present = set(np.unique(labels).tolist())
     expected = set(range(int(labels.max()) + 1))
     if present != expected:

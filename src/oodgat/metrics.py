@@ -1,20 +1,36 @@
 """Detection and classification metrics.
 
 OOD nodes are the positive class throughout: higher score = more OOD.
-AUROC uses the Mann-Whitney tie-averaged-rank formulation, which agrees
-with the O(m^2) pairwise count bit for bit (both numerators are exact
-multiples of 0.5 and the final division is shared).
+Every rank and threshold metric reads the one `Sweep` of a `ScoredNodes`,
+its only sort: the masked scores in stable descending order, cut into
+blocks of equal scores, with the OOD and ID counts flagged at each
+threshold (none, then each block and all above it). Those counts are the
+ROC points. AUROC counts, per block, its ID nodes times the OOD nodes
+above it plus half those in it, which is the trapezoid area under the
+points. That count is an integer or a half-integer, so it is exact and
+agrees bit for bit with the O(m^2) pairwise count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from .engine import row_entropy
 from .errors import MetricError
 
-_LOG_CLAMP = 1e-12
+
+class Sweep(NamedTuple):
+    """The masked scores in stable descending order, in tie blocks."""
+
+    order: np.ndarray   # positions in the masked scores, highest first
+    scores: np.ndarray  # the masked scores in that order
+    starts: np.ndarray  # first sorted position of each block of equal scores
+    tp: np.ndarray      # OOD nodes flagged: 0, then at or above each block
+    fp: np.ndarray      # ID nodes flagged: 0, then at or above each block
 
 
 @dataclass(frozen=True)
@@ -39,117 +55,73 @@ class ScoredNodes:
         if not np.all(np.isfinite(s[mask])):
             raise MetricError("non-finite score inside the evaluation mask")
 
-    def masked(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.scores[self.eval_mask], self.identity[self.eval_mask].astype(bool)
+    @cached_property
+    def sweep(self) -> Sweep:
+        scores, ident = self.scores[self.eval_mask], self.identity[self.eval_mask].astype(bool)
+        # a stable sort keeps mask order inside a tie block, and 0.0 and
+        # -0.0 compare equal, so they share a block
+        order = np.argsort(-scores, kind="stable")
+        ranked = scores[order]
+        starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+        flagged = np.append(starts, len(ranked))  # 0, then each block's end
+        tp = np.concatenate([[0], np.cumsum(ident[order])])[flagged]
+        return Sweep(order, ranked, starts, tp, flagged - tp)
 
 
-def entropy_of_probs(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row, natural log, 0*log(0) = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    return -(p * np.log(np.maximum(p, _LOG_CLAMP))).sum(axis=1)
+def detection_scores(outputs) -> dict[str, np.ndarray]:
+    """The per-node OOD scores of a model's outputs, by tag.
 
-
-def ood_scores(outputs, kind: str, identity, eval_mask) -> ScoredNodes:
-    """Build ScoredNodes from model outputs.
-
-    kind "entropy" scores nodes by the raw entropy of the predicted class
-    distribution (rank metrics are monotone-invariant, so no
-    standardization is applied). kind "attention" uses the mean of the
-    per-layer binary OOD scores and exists only for models that produce
-    them.
+    "ent" is the raw entropy of the predicted class distribution (rank
+    metrics are monotone-invariant, so it is not standardized). "att" is
+    the mean of the per-layer binary OOD scores, present only for models
+    that produce them.
     """
-    probs = outputs.probs
-    if hasattr(probs, "values"):  # tape tensor
-        probs = probs.values
-    if kind == "entropy":
-        scores = entropy_of_probs(probs)
-    elif kind == "attention":
-        if outputs.att_score is None:
-            raise MetricError("attention scores requested from a model that has none")
-        scores = np.asarray(outputs.att_score, dtype=np.float64)
-    else:
-        raise MetricError(f"unknown score kind {kind!r}")
-    return ScoredNodes(scores=scores, identity=identity, eval_mask=eval_mask)
+    scores = {"ent": row_entropy(outputs.probs).values[:, 0]}
+    if outputs.att_score is not None:
+        scores["att"] = outputs.att_score
+    return scores
 
 
-def _split_pos_neg(s: ScoredNodes) -> tuple[np.ndarray, np.ndarray]:
-    scores, ident = s.masked()
-    pos = scores[ident]
-    neg = scores[~ident]
-    if len(pos) == 0 or len(neg) == 0:
-        raise MetricError("rank metrics need at least one OOD and one ID node in the mask")
-    return pos, neg
-
-
-def _tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank of their block."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(values)]])
-    ranks = np.empty(len(values))
-    # ranks a+1 .. b share the exact average (a + 1 + b) / 2
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+def _swept(s: ScoredNodes, missing: str, need_id: bool = True) -> tuple[Sweep, int, int]:
+    """The sweep with its OOD and ID totals; `missing` when a needed class is absent."""
+    sw = s.sweep
+    n_pos, n_neg = int(sw.tp[-1]), int(sw.fp[-1])
+    if n_pos == 0 or (need_id and n_neg == 0):
+        raise MetricError(missing)
+    return sw, n_pos, n_neg
 
 
 def auroc(s: ScoredNodes) -> float:
     """Probability a random OOD node outscores a random ID node, ties 1/2."""
-    scores, ident = s.masked()
-    pos, neg = _split_pos_neg(s)
-    ranks = _tie_averaged_ranks(scores)
-    n_pos, n_neg = len(pos), len(neg)
-    rank_sum = ranks[ident].sum()
-    numerator = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(numerator / (n_pos * n_neg))
-
-
-def _threshold_sweep(s: ScoredNodes):
-    """Descending unique thresholds with cumulative TP/FP counts at >= theta."""
-    scores, ident = s.masked()
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = ident[order].astype(np.int64)
-    # group ties: last index of each equal-score block
-    block_end = np.flatnonzero(np.diff(sorted_scores) != 0)
-    block_end = np.concatenate([block_end, [len(sorted_scores) - 1]])
-    tp = np.cumsum(sorted_pos)[block_end]
-    fp = (block_end + 1) - tp
-    thresholds = sorted_scores[block_end]
-    return thresholds, tp, fp, int(ident.sum()), int((~ident).sum())
+    sw, n_pos, n_neg = _swept(s, "rank metrics need at least one OOD and one ID node in the mask")
+    # twice the count: ID nodes in a block x (2 x OOD nodes above it + OOD nodes in it)
+    twice = np.dot(sw.fp[1:] - sw.fp[:-1], sw.tp[1:] + sw.tp[:-1])
+    return float(twice / 2 / (n_pos * n_neg))
 
 
 def aupr(s: ScoredNodes) -> float:
     """Area under precision-recall, step-interpolated (average precision)."""
-    thresholds, tp, fp, n_pos, _ = _threshold_sweep(s)
-    if n_pos == 0:
-        raise MetricError("AUPR needs at least one OOD node in the mask")
-    recall = tp / n_pos
-    precision = tp / (tp + fp)
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())
+    sw, n_pos, _ = _swept(s, "AUPR needs at least one OOD node in the mask", need_id=False)
+    recall = sw.tp / n_pos
+    precision = sw.tp[1:] / (sw.tp[1:] + sw.fp[1:])
+    return float(((recall[1:] - recall[:-1]) * precision).sum())
 
 
 def fpr_at_tpr(s: ScoredNodes, tpr_target: float = 0.95) -> float:
     """FPR at the largest threshold whose TPR reaches the target."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(s)
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("FPR@TPR needs both classes in the mask")
-    tpr = tp / n_pos
-    hit = np.flatnonzero(tpr >= tpr_target)
+    sw, n_pos, n_neg = _swept(s, "FPR@TPR needs both classes in the mask")
+    hit = np.flatnonzero(sw.tp[1:] / n_pos >= tpr_target)
     if len(hit) == 0:  # unreachable: the lowest threshold always has TPR 1
         raise MetricError("TPR target unreachable")
-    return float(fp[hit[0]] / n_neg)
+    return float(sw.fp[1 + hit[0]] / n_neg)
 
 
 def roc_points(s: ScoredNodes) -> np.ndarray:
-    """ROC sweep as rows (threshold, tpr, fpr), from (0,0) to (1,1)."""
-    thresholds, tp, fp, n_pos, n_neg = _threshold_sweep(s)
-    if n_pos == 0 or n_neg == 0:
-        raise MetricError("ROC needs both classes in the mask")
-    return np.vstack([[np.inf, 0.0, 0.0],
-                      np.column_stack([thresholds, tp / n_pos, fp / n_neg])])
+    """ROC sweep as rows (threshold, tpr, fpr), from (0,0) to (1,1); a tie
+    block's threshold is its last score in the sweep."""
+    sw, n_pos, n_neg = _swept(s, "ROC needs both classes in the mask")
+    last = sw.scores[(sw.tp + sw.fp)[1:] - 1]
+    return np.column_stack([np.append(np.inf, last), sw.tp / n_pos, sw.fp / n_neg])
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -173,29 +145,26 @@ def joint_f1(probs: np.ndarray, s: ScoredNodes, labels: np.ndarray) -> tuple[flo
     for OOD nodes and the ID label otherwise. Candidates are +inf, every
     unique observed score, and -inf; ties in F1 keep the largest theta.
 
-    One stable descending sort gives every candidate as k, the number of
-    leading nodes predicted OOD; per-class counts at each k come from
-    integer prefix sums, and the F1 arithmetic is the per-threshold
-    formula applied to all candidates at once, in the same class order.
+    The sweep gives every candidate as k, the number of leading nodes
+    predicted OOD; per-class counts at each k come from integer prefix
+    sums, and the F1 arithmetic is the per-threshold formula applied to
+    all candidates at once, in the same class order.
     """
-    scores, ident = s.masked()
+    sw = s.sweep
     mask = s.eval_mask
     num_id_classes = probs.shape[1]
     pred_id = np.argmax(probs[mask], axis=1)
+    ident = s.identity[mask].astype(bool)
     true_cls = np.where(ident, num_id_classes, np.asarray(labels)[mask])
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    pred_sorted, true_sorted = pred_id[order], true_cls[order]
-    total = len(scores)
-    starts = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
+    pred_sorted, true_sorted = pred_id[sw.order], true_cls[sw.order]
+    total = len(sw.order)
     # theta = +inf flags no node, a unique score flags its tie block and
     # all above it, and -inf flags every node
-    k = np.concatenate([[0], starts, [total, total]])
+    k = np.concatenate([sw.starts, [total, total]])
     # set() keeps the first of 0.0 and -0.0 it meets, so a tie block's
-    # theta is its first node (the stable sort keeps mask order in a block)
-    block_first = np.concatenate([[0], starts])
-    thetas = np.concatenate([[np.inf], sorted_scores[block_first], [-np.inf]])
+    # theta is its first node (the sweep keeps mask order in a block)
+    thetas = np.concatenate([[np.inf], sw.scores[sw.starts], [-np.inf]])
 
     def flagged(hit: np.ndarray) -> np.ndarray:
         """Count of hits among the first k sorted nodes, per candidate."""

@@ -147,10 +147,8 @@ def validation_scores(outputs, labels: np.ndarray,
     every = np.ones(len(labels), dtype=bool)
     acc = metrics.accuracy(outputs.probs.values, labels, identity == 0)
     try:
-        best = metrics.auroc(metrics.ood_scores(outputs, "entropy", identity, every))
-        if getattr(outputs, "att_score", None) is not None:
-            att = metrics.auroc(metrics.ood_scores(outputs, "attention", identity, every))
-            best = max(best, att)
+        best = max(metrics.auroc(metrics.ScoredNodes(scores, identity, every))
+                   for scores in metrics.detection_scores(outputs).values())
     except MetricError:
         best = 0.0
     return acc, best

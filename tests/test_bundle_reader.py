@@ -145,6 +145,7 @@ ONE_FILE = {
                                         not_converted("features.csv", "", "float64", 0, 3))},
     "gap in labels": {"labels": ("0\n2\n2\n",
                                  fails("labels.tsv: labels must be contiguous from 0; missing [1]"))},
+    "negative label": {"labels": ("0\n-1\n1\n", fails("labels.tsv: label -1 is below 0"))},
     "id out of range": {"edges": ("0\t3\n", fails("edges.tsv references a node id out of range"))},
     # Python's int() read these; numpy reads ASCII digits only
     "non-ASCII digits": {

@@ -1,7 +1,8 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and four guards
+"""Unused-import lint over src/, tests/ and perfbench/, and five guards
 on src/: every public engine function is used, no sparse matrix is made
 dense outside the places that must, only the engine builds a
-message-passing index, and bundle text has one parser.
+message-passing index, bundle text has one parser, and detection scores
+are sorted in one place.
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -167,3 +168,14 @@ TABLE_PARSERS = {"oodgat/graphs.py": {"_table", "_digit_table"}}
 
 def test_bundle_text_has_one_parser():
     assert calls_outside(TABLE_PARSERS, {"loadtxt", "genfromtxt", "fromfile"}) == []
+
+
+# Detection scores are sorted once, in the cached sweep of a `ScoredNodes`
+# that every rank and threshold metric reads. The two other sorts order
+# the index entries by target and the bundle's edges.
+SORTS = {"oodgat/metrics.py": {"sweep"}, "oodgat/engine.py": {"build_segment_index"},
+         "oodgat/graphs.py": {"_canonical_edges"}}
+
+
+def test_scores_are_sorted_once():
+    assert calls_outside(SORTS, {"argsort", "sort", "lexsort"}) == []

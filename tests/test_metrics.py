@@ -9,16 +9,18 @@ the same denominators.
 import numpy as np
 import pytest
 
+from oodgat.engine import Tensor
 from oodgat.errors import MetricError
+from oodgat.graphs import SbmSpec, sbm_generate
+from oodgat.layers import ModelConfig, ModelOutputs, graph_index, init_params, model_forward
 from oodgat.metrics import (
     ScoredNodes,
     accuracy,
     aupr,
     auroc,
-    entropy_of_probs,
+    detection_scores,
     fpr_at_tpr,
     joint_f1,
-    ood_scores,
     roc_points,
 )
 
@@ -372,42 +374,65 @@ def test_roc_endpoints_and_area():
     assert area == pytest.approx(auroc(s), abs=1e-6)
 
 
+def test_roc_threshold_is_the_last_of_a_signed_zero_block():
+    # one block of 0.0 then -0.0: the ROC row reads its last value, the
+    # joint-F1 theta its first
+    s = scored([0.0, -0.0, -1.0], [1, 1, 0])
+    pts = roc_points(s)
+    assert pts[1].tolist() == [0.0, 1.0, 0.0] and np.signbit(pts[1, 0])
+    f1, theta = joint_f1(np.eye(2)[[0, 0, 0]], s, np.array([0, 0, 0]))
+    assert (f1, theta) == (1.0, 0.0) and not np.signbit(theta)
+
+
 # ---------------------------------------------------------------------------
-# entropy scores and ScoredNodes plumbing
+# one sort per scored set
 
 
-class FakeOutputs:
-    def __init__(self, probs, att=None):
-        self.probs = probs
-        self.att_score = att
+def test_the_metrics_of_one_scored_set_sort_once(monkeypatch):
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    rng = np.random.default_rng(9)
+    s = scored(rng.integers(0, 5, 50) / 4.0, np.arange(50) % 3 == 0)
+    for metric in (auroc, aupr, fpr_at_tpr, roc_points):
+        metric(s)
+    joint_f1(rng.random((50, 3)), s, rng.integers(0, 3, 50))
+    assert len(sorts) == 1
 
 
-def test_entropy_of_probs_closed_forms():
-    rows = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(entropy_of_probs(rows), [np.log(4), 0.0], atol=1e-12)
+# ---------------------------------------------------------------------------
+# detection scores and ScoredNodes plumbing
 
 
-def test_ood_scores_entropy_kind():
-    probs = np.array([[1.0, 0.0], [0.5, 0.5]])
-    s = ood_scores(FakeOutputs(probs), "entropy", np.array([0, 1]), np.ones(2, bool))
-    assert s.scores[0] == pytest.approx(0.0, abs=1e-9)
-    assert s.scores[1] == pytest.approx(np.log(2))
-    assert auroc(s) == 1.0  # uniform row (OOD) outscores the confident row
+def test_detection_scores_entropy_closed_forms():
+    probs = Tensor([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]])
+    scores = detection_scores(ModelOutputs(probs=probs))
+    assert scores.keys() == {"ent"}
+    np.testing.assert_allclose(scores["ent"], [np.log(4), 0.0], atol=1e-12)
+    # the uniform row (OOD) outscores the confident row
+    assert auroc(scored(scores["ent"], [1, 0])) == 1.0
 
 
-def test_ood_scores_attention_requires_scores():
-    probs = np.full((2, 2), 0.5)
-    with pytest.raises(MetricError, match="attention"):
-        ood_scores(FakeOutputs(probs, att=None), "attention",
-                   np.array([0, 1]), np.ones(2, bool))
-    s = ood_scores(FakeOutputs(probs, att=np.array([0.2, 0.9])), "attention",
-                   np.array([0, 1]), np.ones(2, bool))
-    np.testing.assert_array_equal(s.scores, [0.2, 0.9])
-
-
-def test_ood_scores_unknown_kind():
-    with pytest.raises(MetricError, match="unknown"):
-        ood_scores(FakeOutputs(np.eye(2)), "margin", np.array([0, 1]), np.ones(2, bool))
+@pytest.mark.parametrize("arch,heads,tags", [("mlp", 1, {"ent"}), ("gcn", 1, {"ent"}),
+                                             ("gat", 2, {"ent"}), ("oodgat", 2, {"ent", "att"})])
+def test_detection_scores_by_architecture(arch, heads, tags):
+    graph = sbm_generate(SbmSpec(classes=3, nodes_per_class=6, p_intra=0.4, p_inter=0.05,
+                                 feature_dim=4, class_mean_separation=2.0,
+                                 ood_classes=frozenset({2})), seed=0)
+    cfg = ModelConfig(architecture=arch, num_classes=2, heads=heads, hidden_dim=4)
+    params = init_params(cfg, graph.num_features, np.random.default_rng(1))
+    out = model_forward(cfg, params, graph.features, graph_index(graph))
+    scores = detection_scores(out)
+    assert scores.keys() == tags
+    p = out.probs.values
+    np.testing.assert_array_equal(scores["ent"], -(p * np.log(np.maximum(p, 1e-12))).sum(axis=1))
+    if "att" in tags:
+        np.testing.assert_array_equal(scores["att"], out.att_score)
 
 
 def test_scored_nodes_validation():
