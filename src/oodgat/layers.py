@@ -1,23 +1,24 @@
 """Model definitions: MLP, GCN, GAT, and the OOD-aware attention network.
 
-The OOD-aware layer scores every node with a per-head binary classifier
-w(v) = sigmoid(a^T W h_v) and turns score agreement into edge attention:
-e_ij = 1 - |w(i) - w(j)|, normalized per neighborhood. Self entries get
-e = 1 automatically. All architectures are two-layer; the prediction
-layer averages heads and applies a row softmax, so model outputs are
-probability rows.
+All four are one two-layer model, `model_forward`: layer 1, activation,
+dropout in training, layer 2, row softmax, so outputs are probability
+rows. Only the layer op differs: a product (mlp), `gcn_layer`, or the
+`attention_layer` that GAT and the OOD-aware network share. Its K heads
+live side by side: W is (in, K*width), head k owning column block k, and
+the attention vectors are the K columns of `a` (width, K) or `attn`
+(2*width, K). The hidden layer keeps the heads side by side, and the
+prediction layer averages them.
 
-GAT and the OOD-aware network share one multi-head `attention_layer`.
-Its K heads live side by side in single tensors: W is (in, K*width),
-head k owning column block k, and the attention vectors are the K
-columns of `a` (width, K) or `attn` (2*width, K).
+The OOD-aware layer scores every node with a per-head classifier
+w(v) = sigmoid(a^T W h_v) and turns score agreement into edge attention:
+e_ij = 1 - |w(i) - w(j)|, normalized per neighborhood (self entries: 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +53,7 @@ class ModelConfig:
             raise ConfigError("need at least 2 ID classes")
         if self.heads < 1:
             raise ConfigError("heads must be >= 1")
-        if self.architecture in ("mlp", "gcn") and self.heads != 1:
+        if self.architecture not in ATTENTION and self.heads != 1:
             raise ConfigError(f"{self.architecture} has no attention heads; set heads=1")
         if self.activation not in ("elu", "relu"):
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -78,10 +79,6 @@ class ModelOutputs:
         return (self.w1.values[:, 0] + self.w2.values[:, 0]) / 2.0
 
 
-def _activation(name: str):
-    return engine.elu if name == "elu" else engine.relu
-
-
 # ---------------------------------------------------------------------------
 # parameter construction
 
@@ -94,25 +91,20 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def init_params(config: ModelConfig, in_dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
     """Create the named parameter set for a two-layer model.
 
-    Weight matrices are Glorot-uniform, per head for the attention models:
+    Weight matrices are Glorot-uniform, per head (mlp and gcn have one):
     head k's draws are made in head order (gat: W, then attn) and become
     column block k. OOD score vectors start at zero, which puts every
     initial score at 0.5 and every edge attention at the uniform value.
     """
     width, heads, C = config.width, config.heads, config.num_classes
+    attention = ATTENTION.get(config.architecture)
     arrays: dict[str, np.ndarray] = {}
-    if config.architecture in ("mlp", "gcn"):
-        arrays["l1.W"] = _glorot(rng, in_dim, width)
-        arrays["l2.W"] = _glorot(rng, width, C)
-    elif config.architecture == "gat":
-        for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
-            draws = [(_glorot(rng, rows, cols), _glorot(rng, 2 * cols, 1)) for _ in range(heads)]
-            arrays[f"{layer}.W"] = np.hstack([W for W, _ in draws])
-            arrays[f"{layer}.attn"] = np.hstack([attn for _, attn in draws])
-    else:  # oodgat
-        for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
-            arrays[f"{layer}.W"] = np.hstack([_glorot(rng, rows, cols) for _ in range(heads)])
-            arrays[f"{layer}.a"] = np.zeros((cols, heads))
+    for layer, rows, cols in (("l1", in_dim, width), ("l2", heads * width, C)):
+        draws = [(_glorot(rng, rows, cols), attention and attention.head_init(rng, cols))
+                 for _ in range(heads)]
+        arrays[f"{layer}.W"] = np.hstack([W for W, _ in draws])
+        if attention:
+            arrays[f"{layer}.{attention.param}"] = np.hstack([a for _, a in draws])
     return {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
 
 
@@ -151,19 +143,12 @@ def _input_dropout(x, p: float, rng: np.random.Generator):
 # layer forwards
 
 
-def oodgat_attention(scores: Tensor, index: SegmentIndex) -> Tensor:
-    """Edge attention from node scores (n, K): softmax over e = 1 - |w_t - w_s|.
-
-    Self entries compare a node with itself, so their raw e is exactly 1,
-    the group maximum.
-    """
-    return engine.edge_softmax(scores, scores, index, "agree")
-
-
 def oodgat_edge_attention(hw: Tensor, a: Tensor, index: SegmentIndex) -> tuple[Tensor, Tensor]:
-    """Attention from score agreement, and the node scores w = sigmoid(a_k^T hw_k)."""
+    """Node scores w = sigmoid(a_k^T hw_k) and, from their agreement, the
+    softmax over e = 1 - |w_t - w_s|: (attention, scores). A self entry's
+    raw e is exactly 1, the group maximum."""
     scores = engine.sigmoid(engine.head_project(hw, a))
-    return oodgat_attention(scores, index), scores
+    return engine.edge_softmax(scores, scores, index, "agree"), scores
 
 
 def gat_edge_attention(hw: Tensor, attn: Tensor, index: SegmentIndex) -> tuple[Tensor, None]:
@@ -173,6 +158,19 @@ def gat_edge_attention(hw: Tensor, attn: Tensor, index: SegmentIndex) -> tuple[T
     s_t = engine.head_project(hw, engine.slice_rows(attn, 0, d))
     s_s = engine.head_project(hw, engine.slice_rows(attn, d, 2 * d))
     return engine.edge_softmax(s_t, s_s, index, "leaky"), None
+
+
+@dataclass(frozen=True)
+class Attention:
+    edge_attention: Callable  # (hw, attn, index) -> (edge attention, node scores or None)
+    param: str                # the layers' attention parameters: l1.<param>, l2.<param>
+    head_init: Callable       # (rng, head width) -> one head's initial attention column
+
+
+ATTENTION = {
+    "gat": Attention(gat_edge_attention, "attn", lambda rng, width: _glorot(rng, 2 * width, 1)),
+    "oodgat": Attention(oodgat_edge_attention, "a", lambda rng, width: np.zeros((width, 1))),
+}
 
 
 @lru_cache(maxsize=None)
@@ -185,28 +183,24 @@ def _head_average(heads: int, width: int) -> np.ndarray:
 
 
 def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attention,
-                    combine: str, activation: str) -> tuple[Tensor, Tensor | None]:
-    """One multi-head attention layer, all K = attn.shape[1] heads at once:
-    (hidden, mean score).
+                    average: bool = False) -> tuple[Tensor, Tensor | None]:
+    """One multi-head attention layer, all K = attn.shape[1] heads at once,
+    with no activation: (output, mean score).
 
     `edge_attention(hw, attn, index)` gives the (E, K) edge attention and
     the (n, K) node scores or None: `gat_edge_attention` or
-    `oodgat_edge_attention`. combine "concat" keeps the heads side by side
-    and applies the activation (hidden layer); combine "average" averages
-    heads and applies a row softmax (prediction layer). The mean score
+    `oodgat_edge_attention`. The output keeps the heads side by side, or
+    with `average` (the prediction layer) is their mean. The mean score
     (n, 1) is the head average of the node scores, None for gat.
     """
-    if combine not in ("concat", "average"):
-        raise ConfigError(f"unknown combine mode {combine!r}")
     heads = attn.shape[1]
     hw = engine.matmul(h, W)
     alpha, scores = edge_attention(hw, attn, index)
     out = engine.spmm(alpha, hw, index)
     mean_score = None if scores is None else engine.matmul(scores, _head_average(heads, 1))
-    if combine == "concat":
-        return _activation(activation)(out), mean_score
-    head_mean = _head_average(heads, out.shape[1] // heads)
-    return engine.row_softmax(engine.matmul(out, head_mean)), mean_score
+    if average:
+        out = engine.matmul(out, _head_average(heads, out.shape[1] // heads))
+    return out, mean_score
 
 
 def gcn_layer(h, index: SegmentIndex | sp.csr_matrix, W: Tensor) -> Tensor:
@@ -298,6 +292,11 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
                   rng: np.random.Generator | None = None) -> ModelOutputs:
     """Two-layer forward pass for any architecture.
 
+    Layer k takes its index (the field's `layer{k}`, or the graph index
+    after drop-edge; none for mlp), runs the architecture's op, applies the
+    activation (k = 1) or the row softmax (k = 2), and in a field forward
+    keeps the field's `keep{k}` rows of the output and the mean scores.
+
     `features` may be a dense ndarray or a scipy CSR constant; gradients
     never flow into it. `training` is the run's TrainConfig in a training
     pass and None in evaluation. Its dropout and drop-edge rates draw
@@ -318,51 +317,28 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
     if field is not None and features.shape[0] != len(field.rows):
         raise ConfigError(f"the receptive field reads {len(field.rows)} feature rows, "
                           f"got {features.shape[0]}")
-    act = _activation(config.activation)
     arch = config.architecture
-
-    def layer_index(layer: str):
-        # the field's stand-in for the index, or the index after drop-edge
-        return getattr(field, layer) if field else drop_edge(index, drop_edge_p, rng)
-
-    x = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
-
-    if arch == "mlp":
-        hidden = act(engine.matmul(x, params["l1.W"]))
-        if dropout_p > 0:
-            hidden = engine.dropout(hidden, dropout_p, rng)
-        probs = engine.row_softmax(engine.matmul(hidden, params["l2.W"]))
-        return ModelOutputs(probs=probs)
-
-    idx1 = layer_index("layer1")
-    if arch == "gcn":
-        hidden = act(gcn_layer(x, idx1, params["l1.W"]))
-        if dropout_p > 0:
-            hidden = engine.dropout(hidden, dropout_p, rng)
-        idx2 = layer_index("layer2")
-        probs = engine.row_softmax(gcn_layer(hidden, idx2, params["l2.W"]))
-        return ModelOutputs(probs=probs)
-
-    if arch == "gat":
-        edge_attention, l1_attn, l2_attn = gat_edge_attention, params["l1.attn"], params["l2.attn"]
-    else:
-        edge_attention, l1_attn, l2_attn = oodgat_edge_attention, params["l1.a"], params["l2.a"]
-    hidden, w1 = attention_layer(x, idx1, params["l1.W"], l1_attn, edge_attention,
-                                 "concat", config.activation)
-    if field is not None:
-        hidden, w1 = _take_rows((hidden, w1), field.keep1)
-    if dropout_p > 0:
-        hidden = engine.dropout(hidden, dropout_p, rng)
-    idx2 = layer_index("layer2")
-    probs, w2 = attention_layer(hidden, idx2, params["l2.W"], l2_attn, edge_attention,
-                                "average", config.activation)
-    if field is not None:
-        probs, w1, w2 = _take_rows((probs, w1, w2), field.keep2)
-    return ModelOutputs(probs=probs, w1=w1, w2=w2)
-
-
-def _take_rows(tensors, rows):
-    return tuple(None if t is None else engine.take_rows(t, rows) for t in tensors)
+    attention = ATTENTION.get(arch)
+    act = engine.elu if config.activation == "elu" else engine.relu
+    h = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
+    scores = []  # each layer's mean score, None without one
+    for k in (1, 2):
+        W, score = params[f"l{k}.W"], None
+        if arch != "mlp":
+            idx = getattr(field, f"layer{k}") if field else drop_edge(index, drop_edge_p, rng)
+        if attention:
+            h, score = attention_layer(h, idx, W, params[f"l{k}.{attention.param}"],
+                                       attention.edge_attention, average=k == 2)
+        else:
+            h = gcn_layer(h, idx, W) if arch == "gcn" else engine.matmul(h, W)
+        h = act(h) if k == 1 else engine.row_softmax(h)
+        scores.append(score)
+        keep = getattr(field, f"keep{k}") if field else None
+        if keep is not None:
+            h, *scores = [t if t is None else engine.take_rows(t, keep) for t in (h, *scores)]
+        if k == 1 and dropout_p > 0:
+            h = engine.dropout(h, dropout_p, rng)
+    return ModelOutputs(h, *scores)
 
 
 def clone_params(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -154,8 +154,7 @@ def compute_objective(outputs, labels, train_mask, weights: LossWeights,
                 e = Tensor(e.values.copy())
             parts["con"] = consistency_loss(outputs.w1, outputs.w2, e)
         if weights.gamma != 0.0:
-            w_select = (outputs.w1.values + outputs.w2.values) / 2.0
-            parts["ent"] = entropy_reg_loss(outputs.probs, w_select, weights.epsilon)
+            parts["ent"] = entropy_reg_loss(outputs.probs, outputs.att_score, weights.epsilon)
         if weights.zeta != 0.0:
             parts["dis"] = discrepancy_loss(outputs.w1, outputs.w2)
     elif weights.beta or weights.gamma or weights.zeta:

@@ -26,7 +26,6 @@ from oodgat.layers import (
     graph_index,
     init_params,
     model_forward,
-    oodgat_attention,
     oodgat_edge_attention,
     restore_params,
 )
@@ -55,7 +54,8 @@ def group_slices(index):
 def test_attention_equal_scores_uniform():
     g = toy_graph()
     idx = graph_index(g)
-    alpha = oodgat_attention(Tensor(np.full((g.num_nodes, 1), 0.37)), idx).values
+    scores = Tensor(np.full((g.num_nodes, 1), 0.37))
+    alpha = engine.edge_softmax(scores, scores, idx, "agree").values
     for i, sl in group_slices(idx):
         np.testing.assert_allclose(alpha[sl, 0], 1.0 / (sl.stop - sl.start), atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_attention_raw_agreement_values():
     w_s = scores.values[idx.sources, 0]
     e = 1 - np.abs(w_t - w_s)
     np.testing.assert_allclose(np.sort(e), [0.5, 0.5, 1.0, 1.0])
-    alpha = oodgat_attention(scores, idx).values
+    alpha = engine.edge_softmax(scores, scores, idx, "agree").values
     for i, sl in group_slices(idx):
         assert alpha[sl].sum() == pytest.approx(1.0)
 
@@ -81,7 +81,7 @@ def test_attention_separates_clean_clusters():
                    [0, 0, 1, 1], [0, 0, 1, 1])
     idx = graph_index(g)
     scores = Tensor(np.array([[0.0], [0.0], [1.0], [1.0]]))
-    alpha = oodgat_attention(scores, idx).values[:, 0]
+    alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
     intra = (scores.values[idx.targets, 0] == scores.values[idx.sources, 0])
     # node 1's group holds both kinds; its cross entry must get less mass
     sl = slice(idx.offsets[1], idx.offsets[2])
@@ -94,7 +94,8 @@ def test_attention_self_entry_dominates_group():
     rng = np.random.default_rng(7)
     g = toy_graph(n=10, seed=3)
     idx = graph_index(g)
-    alpha = oodgat_attention(Tensor(rng.random((10, 1))), idx).values[:, 0]
+    scores = Tensor(rng.random((10, 1)))
+    alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
     for i, sl in group_slices(idx):
         self_alpha = alpha[sl][idx.sources[sl] == i]
         assert np.all(self_alpha >= alpha[sl] - 1e-12)
@@ -105,8 +106,9 @@ def test_attention_score_flip_invariance():
     g = toy_graph(n=8, seed=5)
     idx = graph_index(g)
     w = rng.random((8, 1))
-    a = oodgat_attention(Tensor(w), idx).values
-    b = oodgat_attention(Tensor(1.0 - w), idx).values
+    same, flipped = Tensor(w), Tensor(1.0 - w)
+    a = engine.edge_softmax(same, same, idx, "agree").values
+    b = engine.edge_softmax(flipped, flipped, idx, "agree").values
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -115,7 +117,8 @@ def test_attention_group_sums_to_one():
     for seed in range(5):
         g = toy_graph(n=12, seed=seed)
         idx = graph_index(g)
-        alpha = oodgat_attention(Tensor(rng.random((12, 1))), idx).values[:, 0]
+        scores = Tensor(rng.random((12, 1)))
+        alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
         sums = np.add.reduceat(alpha, idx.offsets[:-1])
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -213,8 +216,8 @@ def check_gat_layer_against_dense_oracle(K):
     h = rng.standard_normal((5, 4))
     W = Tensor(rng.standard_normal((4, 3 * K)))
     attn = Tensor(rng.standard_normal((6, K)))
-    got, score = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention, combine="concat",
-                                 activation="elu")
+    out, score = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention)
+    got = engine.elu(out)
     assert score is None
 
     A = dense_adjacency(idx, 5) > 0
@@ -242,11 +245,11 @@ def test_gat_identical_features_uniform_attention():
     rng = np.random.default_rng(0)
     W = Tensor(rng.standard_normal((2, 2)))
     attn = Tensor(rng.standard_normal((4, 1)))
-    out, _ = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention, combine="concat",
-                             activation="elu")
+    out, _ = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention)
     # all nodes identical: aggregation result equals hw rows themselves
     hw = h @ W.values
-    np.testing.assert_allclose(out.values, np.where(hw > 0, hw, np.expm1(hw)), atol=1e-12)
+    np.testing.assert_allclose(engine.elu(out).values, np.where(hw > 0, hw, np.expm1(hw)),
+                               atol=1e-12)
 
 
 def test_oodgat_prediction_layer_matches_dense_oracle():
@@ -262,8 +265,8 @@ def check_oodgat_prediction_layer_against_dense_oracle(K):
     h = rng.standard_normal((n, d))
     W = Tensor(rng.standard_normal((d, C * K)), requires_grad=True)
     a = Tensor(rng.standard_normal((C, K)), requires_grad=True)
-    hidden, mean_score = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention,
-                                         combine="average", activation="elu")
+    out, mean_score = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention, average=True)
+    hidden = engine.row_softmax(out)
 
     A = dense_adjacency(idx, n) > 0
     agg = np.zeros((n, C))
@@ -292,40 +295,31 @@ def test_oodgat_isolated_node_is_plain_transform():
         h = rng.standard_normal((1, 4))
         W = Tensor(rng.standard_normal((4, 3 * K)))
         a = Tensor(rng.standard_normal((3, K)))
-        hidden, _ = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention, combine="concat",
-                                    activation="elu")
+        out, _ = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention)
         want = h @ W.values
         want = np.where(want > 0, want, np.expm1(want))
-        np.testing.assert_allclose(hidden.values, want, atol=1e-12)
+        np.testing.assert_allclose(engine.elu(out).values, want, atol=1e-12)
 
 
 def test_oodgat_duplicate_heads_duplicate_output():
-    # K = 2 copies of one head give that head twice (concat) or once (average)
+    # K = 2 copies of one head give that head twice, or once when averaged
     rng = np.random.default_rng(14)
     g = toy_graph(n=7, seed=15)
     idx = graph_index(g)
     h = Tensor(rng.standard_normal((7, 4)))
     W = rng.standard_normal((4, 3))
     models = ((oodgat_edge_attention, 3), (gat_edge_attention, 6))
-    for (edge_attention, rows), combine in itertools.product(models, ("concat", "average")):
+    for (edge_attention, rows), average in itertools.product(models, (False, True)):
         a = rng.standard_normal((rows, 1))
         single, single_score = attention_layer(h, idx, Tensor(W), Tensor(a), edge_attention,
-                                               combine=combine, activation="elu")
+                                               average=average)
         double, double_score = attention_layer(h, idx, Tensor(np.hstack([W, W])),
                                                Tensor(np.hstack([a, a])), edge_attention,
-                                               combine=combine, activation="elu")
-        want = np.hstack([single.values] * 2) if combine == "concat" else single.values
+                                               average=average)
+        want = single.values if average else np.hstack([single.values] * 2)
         np.testing.assert_allclose(double.values, want, atol=1e-12)
         if edge_attention is oodgat_edge_attention:
             np.testing.assert_allclose(double_score.values, single_score.values, atol=1e-12)
-
-
-def test_attention_layer_rejects_unknown_combine():
-    g = toy_graph(n=4, seed=1)
-    with pytest.raises(ConfigError, match="combine"):
-        attention_layer(Tensor(g.features), graph_index(g), Tensor(np.ones((4, 2))),
-                        Tensor(np.ones((2, 1))), oodgat_edge_attention, combine="max",
-                        activation="elu")
 
 
 def test_duplicate_neighbor_entry_counts_twice():
@@ -452,6 +446,38 @@ def test_eval_forward_is_bit_deterministic():
     b = model_forward(cfg, params, g.features, idx, training=None,
                       rng=np.random.default_rng(6))
     assert np.array_equal(a.probs.values, b.probs.values)
+
+
+class RecordingRng:
+    """A Generator stand-in that logs the size of each `random` draw and
+    delegates it to a real Generator."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("arch,heads", [("mlp", 1), ("gcn", 1), ("gat", 2), ("oodgat", 2)])
+def test_training_forward_draws_in_the_documented_order(arch, heads, form):
+    g = toy_graph(n=9, seed=27)
+    features = g.features if form == "dense" else sp.csr_matrix(g.features)
+    cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=6)
+    params = init_params(cfg, g.num_features, np.random.default_rng(12))
+    training = TrainConfig(dropout_p=0.5, drop_edge_p=0.4)
+    rng = RecordingRng(13)
+    out = model_forward(cfg, params, features, graph_index(g), training=training, rng=rng)
+    # input dropout, layer-1 edges, hidden dropout, layer-2 edges; mlp reads no edges
+    x = g.features.shape if form == "dense" else features.nnz
+    E, hidden = graph_index(g).num_entries, (9, 6 * heads)
+    assert rng.sizes == ([x, hidden] if arch == "mlp" else [x, E, hidden, E])
+    plain = model_forward(cfg, params, features, graph_index(g), training=training,
+                          rng=np.random.default_rng(13))
+    assert np.array_equal(out.probs.values, plain.probs.values)
 
 
 def test_training_forward_needs_rng():

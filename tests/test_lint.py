@@ -1,8 +1,9 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and five guards
+"""Unused-import lint over src/, tests/ and perfbench/, and six guards
 on src/: every public engine function is used, no sparse matrix is made
 dense outside the places that must, only the engine builds a
-message-passing index, bundle text has one parser, and detection scores
-are sorted in one place.
+message-passing index, bundle text has one parser, detection scores are
+sorted in one place, and the prediction softmax is applied only by
+`model_forward` (`test_prediction_softmax_is_applied_once`).
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -179,3 +180,13 @@ SORTS = {"oodgat/metrics.py": {"sweep"}, "oodgat/engine.py": {"build_segment_ind
 
 def test_scores_are_sorted_once():
     assert calls_outside(SORTS, {"argsort", "sort", "lexsort"}) == []
+
+
+# Every architecture's prediction layer ends in one row softmax, applied
+# by `model_forward`; the gradcheck battery checks the op itself.
+SOFTMAX_CALLERS = {"oodgat/layers.py": {"model_forward"},
+                   "oodgat/experiments.py": {"gradcheck_battery"}}
+
+
+def test_prediction_softmax_is_applied_once():
+    assert calls_outside(SOFTMAX_CALLERS, {"row_softmax"}) == []
