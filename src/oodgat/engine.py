@@ -42,11 +42,11 @@ def _active_tape() -> "GradTape | None":
 class Tensor:
     """A 2-D float64 matrix tracked by the engine.
 
-    `grad` is populated by `backward` for leaves only. `tape_id` is the
-    position of the producing op on the recording tape, None for leaves.
+    `tape_id` is the position of the producing op on the recording tape,
+    None for leaves.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "tape_id", "_tape")
+    __slots__ = ("values", "requires_grad", "tape_id", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -54,7 +54,6 @@ class Tensor:
             raise EngineError(f"tensors are 2-D, got shape {arr.shape}")
         self.values = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self.tape_id: int | None = None
         self._tape: GradTape | None = None
 
@@ -127,7 +126,6 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
 
     Returns a map from leaf Tensor to its gradient array. Leaves the loss
     does not depend on are simply absent; callers treat missing as zero.
-    The map is also written into each leaf's `.grad`.
     """
     if not isinstance(loss, Tensor):
         raise EngineError("backward expects a Tensor")
@@ -162,14 +160,8 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
             grads[id(t)] = gi if prev is None else prev + gi
             if t._tape is not tape:
                 leaves[id(t)] = t
-
-    result: dict[Tensor, Array] = {}
-    for tid, t in leaves.items():
-        g = grads.get(tid)
-        if g is not None:
-            t.grad = g
-            result[t] = g
-    return result
+    # a leaf's gradient is never popped: only the tape's outputs are
+    return {t: grads[tid] for tid, t in leaves.items()}
 
 
 # ---------------------------------------------------------------------------

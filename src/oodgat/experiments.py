@@ -4,9 +4,11 @@ A spec file is plain INI text. The [dataset] section names either a
 bundle directory or a block-model recipe; [model], [train] and [loss]
 override defaults, and a gridsearch spec's [grid] lists the candidates
 of each tuned key. Every runner expands into independent
-(condition, split, seed) tasks, executes them sequentially or in a
-process pool, and assembles a RunReport whose per-run records are
-byte-stable across re-runs.
+(condition, split, seed) tasks and executes them sequentially or in a
+process pool. Each run writes its own history and curve files as it
+finishes; the records stream back in task order into a RunReport, whose
+files are written last and whose per-run records are byte-stable across
+re-runs.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import configparser
 import csv
 import ctypes
+import functools
 import io
 import itertools
 import json
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -76,30 +80,18 @@ def run_seeds(seed_base: int, split_idx: int, seed_idx: int) -> tuple[int, int]:
 # a recipe is a small picklable value each worker can resolve on its own:
 #   ("bundle", path string, sorted ood-class tuple)
 #   ("sbm", SbmSpec, generator seed)
-_GRAPH_CACHE: dict = {}
-
-
-def resolve_graph(recipe: tuple, edge_filter: tuple | None = None) -> Graph:
+# Both arguments are passed by position, so that every call of one graph
+# shares its cache entry.
+@functools.lru_cache(maxsize=None)
+def resolve_graph(recipe: tuple, edge_filter: tuple | None) -> Graph:
     """Materialize a dataset recipe, relabeled for training, with an
     optional (keep-classes, fraction, seed) edge filter applied."""
-    base_key = (recipe, None)
-    if base_key not in _GRAPH_CACHE:
-        kind = recipe[0]
-        if kind == "bundle":
-            graph = load_graph_bundle(recipe[1], recipe[2])
-        elif kind == "sbm":
-            graph = sbm_generate(recipe[1], recipe[2])
-        else:
-            raise ConfigError(f"unknown dataset recipe kind {kind!r}")
-        _GRAPH_CACHE[base_key], _ = relabel_for_training(graph)
-    if edge_filter is None:
-        return _GRAPH_CACHE[base_key]
-    key = (recipe, edge_filter)
-    if key not in _GRAPH_CACHE:
+    if edge_filter is not None:
         keep, fraction, seed = edge_filter
-        _GRAPH_CACHE[key] = filter_edges(_GRAPH_CACHE[base_key], set(keep),
-                                         fraction, seed)
-    return _GRAPH_CACHE[key]
+        return filter_edges(resolve_graph(recipe, None), set(keep), fraction, seed)
+    kind, source, arg = recipe
+    graph = (load_graph_bundle if kind == "bundle" else sbm_generate)(source, arg)
+    return relabel_for_training(graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +303,7 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
     elif name == "gridsearch":
         raise ConfigError("gridsearch needs a [grid] section in the spec")
 
-    graph = resolve_graph(recipe)
+    graph = resolve_graph(recipe, None)
     if name in RUNNERS:
         split_classes(graph)
     num_classes = int((np.unique(graph.labels[graph.identity == 0])).size)
@@ -395,13 +387,6 @@ class RunTask:
     want_curves: bool = False
 
 
-@dataclass
-class RunOutcome:
-    record: RunRecord
-    history_rows: list
-    curves: dict            # tag -> roc point array
-
-
 def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
     """Test-split metrics for one trained model, plus optional ROC points."""
     out = model_forward(trained.config, trained.params,
@@ -426,25 +411,26 @@ def evaluate_run(trained, graph: Graph, splits, history, want_curves: bool):
     return {k: float(v) for k, v in vals.items()}, curves
 
 
-def _run_single(task: RunTask) -> RunOutcome:
+def _run_single(task: RunTask, out_dir) -> RunRecord:
+    """Train and evaluate one task. Given an output directory, the process
+    that trained the run writes its history and curve files there before
+    it returns the run's record."""
     try:
         graph = resolve_graph(task.dataset, task.edge_filter)
         splits = make_splits(graph, seed=task.split_seed)
         trained, history = train(task.model, graph, splits, task.train)
         vals, curves = evaluate_run(trained, graph, splits, history,
-                                    task.want_curves)
+                                    task.want_curves and out_dir is not None)
     except TrainingAbort as exc:
         raise TrainingAbort(f"[{task.run_id}] {exc}", exc.step, exc.breakdown) from None
     except OodgatError as exc:
         raise type(exc)(f"[{task.run_id}] {exc}") from None
-    rows = [(s.step, s.losses.ce, s.losses.con, s.losses.ent, s.losses.dis,
-             s.losses.decay, s.losses.total, s.val_accuracy, s.val_auroc,
-             s.composite) for s in history.steps]
-    record = RunRecord(run_id=task.run_id, condition=task.condition,
-                       split_idx=task.split_idx, seed_idx=task.seed_idx,
-                       split_seed=task.split_seed, train_seed=task.train.seed,
-                       metrics=vals)
-    return RunOutcome(record=record, history_rows=rows, curves=curves)
+    if out_dir is not None:
+        _write_run_files(task.run_id, history, curves, out_dir)
+    return RunRecord(run_id=task.run_id, condition=task.condition,
+                     split_idx=task.split_idx, seed_idx=task.seed_idx,
+                     split_seed=task.split_seed, train_seed=task.train.seed,
+                     metrics=vals)
 
 
 def _retain_freed_memory() -> None:
@@ -469,20 +455,26 @@ def _retain_freed_memory() -> None:
             return
 
 
-def execute_tasks(tasks: list[RunTask], workers: int = 1) -> list[RunOutcome]:
-    """Run tasks in input order; a process pool preserves that order.
+def execute_tasks(tasks: list[RunTask], workers: int = 1,
+                  out_dir=None) -> Iterator[RunRecord]:
+    """Yield the tasks' records in task order, each as soon as its run and
+    every run before it have finished; a process pool preserves that order.
 
-    The pool never holds more processes than there are tasks.
+    Each run writes its own files into `out_dir` before its record is
+    yielded. The pool never holds more processes than there are tasks. A
+    bad worker count raises at the first `next`, before any task runs.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     _retain_freed_memory()
     pool_size = min(workers, len(tasks))
+    out_dirs = itertools.repeat(out_dir)
     if pool_size <= 1:
-        return [_run_single(t) for t in tasks]
+        yield from map(_run_single, tasks, out_dirs)
+        return
     with ProcessPoolExecutor(max_workers=pool_size,
                              initializer=_retain_freed_memory) as pool:
-        return list(pool.map(_run_single, tasks))
+        yield from pool.map(_run_single, tasks, out_dirs)
 
 
 def _tasks_for(spec: ExperimentSpec, seed_base: int, condition: str,
@@ -599,31 +591,32 @@ def _curve_lines(points):
         yield "%r,%r,%r\n" % (th, tpr, fpr)
 
 
-def _write_run_files(outcomes: list[RunOutcome], out_dir) -> None:
+def _write_run_files(run_id: str, history, curves: dict, out_dir) -> None:
     out = Path(out_dir)
     hist_dir = out / "history"
     hist_dir.mkdir(parents=True, exist_ok=True)
-    for o in outcomes:
-        _write_atomic(hist_dir / f"{o.record.run_id}.csv", _history_lines(o.history_rows))
-    if any(o.curves for o in outcomes):
+    rows = [(s.step, s.losses.ce, s.losses.con, s.losses.ent, s.losses.dis,
+             s.losses.decay, s.losses.total, s.val_accuracy, s.val_auroc,
+             s.composite) for s in history.steps]
+    _write_atomic(hist_dir / f"{run_id}.csv", _history_lines(rows))
+    if curves:
         curve_dir = out / "curves"
         curve_dir.mkdir(parents=True, exist_ok=True)
-        for o in outcomes:
-            for tag, points in o.curves.items():
-                suffix = "roc" if tag == "ent" else f"{tag}-roc"
-                _write_atomic(curve_dir / f"{o.record.run_id}-{suffix}.csv",
-                              _curve_lines(points))
+        for tag, points in curves.items():
+            suffix = "roc" if tag == "ent" else f"{tag}-roc"
+            _write_atomic(curve_dir / f"{run_id}-{suffix}.csv", _curve_lines(points))
 
 
-def _assemble(spec: ExperimentSpec, seed_base: int, outcomes: list[RunOutcome],
-              out_dir=None) -> RunReport:
-    runs = [o.record for o in outcomes]
+def _assemble(spec: ExperimentSpec, seed_base: int, tasks: list[RunTask],
+              workers: int, out_dir) -> RunReport:
+    """Run the tasks and report their records. The report files are
+    written last: a report in the directory means its run files are
+    complete, and a failed task leaves the finished runs' files only."""
+    runs = list(execute_tasks(tasks, workers, out_dir))
     config = {**spec.config, "seed_base": int(seed_base)}
     report = RunReport(experiment=spec.name, version=__version__, config=config,
                        runs=runs, aggregates=aggregate_runs(runs))
     if out_dir is not None:
-        # reports last: a report in the directory means its run files are complete
-        _write_run_files(outcomes, out_dir)
         export_report(report, out_dir)
     return report
 
@@ -637,7 +630,7 @@ def run_train_eval(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
     """Train/evaluate the configured model over splits x seeds."""
     tasks = _tasks_for(spec, seed_base, spec.model.architecture,
                        spec.model, spec.train, want_curves=True)
-    return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+    return _assemble(spec, seed_base, tasks, workers, out_dir)
 
 
 def _ce_only(train_cfg: TrainConfig) -> TrainConfig:
@@ -667,7 +660,7 @@ def run_edge_ablation(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1
                         edge_filter_fn=lambda ss: (("intra_id",), 1.0, ss))
     tasks += _tasks_for(spec, seed_base, "intra_ood-only", model, train_cfg,
                         edge_filter_fn=lambda ss: (("intra_ood",), 1.0, ss))
-    return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+    return _assemble(spec, seed_base, tasks, workers, out_dir)
 
 
 def run_smoothing_roc(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
@@ -679,7 +672,7 @@ def run_smoothing_roc(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1
         model = replace(spec.model, architecture=arch, heads=1)
         tasks += _tasks_for(spec, seed_base, arch, model, train_cfg,
                             want_curves=True)
-    return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+    return _assemble(spec, seed_base, tasks, workers, out_dir)
 
 
 def run_loss_ablation(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
@@ -692,7 +685,7 @@ def run_loss_ablation(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1
                           gamma=base.gamma * use_ent, zeta=base.zeta * use_dis)
         tasks += _tasks_for(spec, seed_base, cond, spec.model,
                             replace(spec.train, loss_weights=weights))
-    return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+    return _assemble(spec, seed_base, tasks, workers, out_dir)
 
 
 def run_gridsearch(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
@@ -707,7 +700,7 @@ def run_gridsearch(spec: ExperimentSpec, seed_base: int = 0, workers: int = 1,
                                  split_seed=split_seed, dataset=spec.dataset,
                                  edge_filter=None, model=model,
                                  train=replace(train_cfg, seed=train_seed)))
-    return _assemble(spec, seed_base, execute_tasks(tasks, workers), out_dir)
+    return _assemble(spec, seed_base, tasks, workers, out_dir)
 
 
 # the experiments that train, each on splits drawn by make_splits

@@ -57,10 +57,6 @@ class Graph:
         return self.features.shape[1]
 
     @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self.labels) else 0
-
-    @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 

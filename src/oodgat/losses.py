@@ -53,10 +53,6 @@ class LossBreakdown:
     decay: float
     total: float
 
-    def as_dict(self) -> dict:
-        return {"ce": self.ce, "con": self.con, "ent": self.ent,
-                "dis": self.dis, "decay": self.decay, "total": self.total}
-
 
 def cross_entropy_loss(Z: Tensor, labels, train_mask) -> Tensor:
     """Mean negative log probability of the true class over masked nodes."""

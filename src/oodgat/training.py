@@ -11,7 +11,7 @@ composite has gone `patience` consecutive steps without a new maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -190,7 +190,7 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
                                                  cfg.loss_weights, t=step - 1)
             if not np.isfinite(breakdown.total):
                 raise TrainingAbort(f"non-finite loss at step {step}",
-                                    step=step, breakdown=breakdown.as_dict())
+                                    step=step, breakdown=asdict(breakdown))
             grads_by_tensor = backward(total)
         grads = {name: grads_by_tensor[t] for name, t in params.items()
                  if t in grads_by_tensor}

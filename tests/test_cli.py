@@ -7,7 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from oodgat import experiments
 from oodgat.cli import build_parser, main
+from oodgat.errors import TrainingAbort
 from oodgat.experiments import EXPERIMENT_NAMES
 
 TINY_SPEC = """\
@@ -255,6 +257,50 @@ def test_train_eval_end_to_end(tmp_path, capsys):
     assert (out / "report.txt").is_file()
     assert (out / "history" / "oodgat-s0r0.csv").is_file()
     assert (out / "curves" / "oodgat-s0r0-roc.csv").is_file()
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_output_tree_is_the_same_for_one_and_two_workers(tmp_path, capsys):
+    spec = tiny_spec(tmp_path)
+    spec.write_text(spec.read_text().replace("splits = 1", "splits = 2"))
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert main(["train-eval", "--spec", str(spec), "--out", str(out),
+                     "--workers", str(workers)]) == 0
+    capsys.readouterr()
+    one, two = (tree(out) for out in outs)
+    assert sorted(one) == ["curves/oodgat-s0r0-att-roc.csv", "curves/oodgat-s0r0-roc.csv",
+                           "curves/oodgat-s1r0-att-roc.csv", "curves/oodgat-s1r0-roc.csv",
+                           "history/oodgat-s0r0.csv", "history/oodgat-s1r0.csv",
+                           "report.csv", "report.jsonl", "report.txt"]
+    assert one == two
+
+
+def test_a_failed_run_keeps_the_finished_runs_files_and_writes_no_report(
+        tmp_path, capsys, monkeypatch):
+    train = experiments.train
+    calls = []
+
+    def second_run_aborts(model, graph, splits, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise TrainingAbort("non-finite loss at step 3", step=3)
+        return train(model, graph, splits, cfg)
+
+    monkeypatch.setattr(experiments, "train", second_run_aborts)
+    spec = tiny_spec(tmp_path)
+    spec.write_text(spec.read_text().replace("splits = 1", "splits = 2"))
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR TrainingAbort: [oodgat-s1r0] non-finite loss at step 3\n"
+    assert captured.out == ""
+    assert sorted(tree(out)) == ["curves/oodgat-s0r0-att-roc.csv", "curves/oodgat-s0r0-roc.csv",
+                                 "history/oodgat-s0r0.csv"]
 
 
 def test_gen_sbm_end_to_end(tmp_path, capsys):

@@ -93,13 +93,13 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
             hidden = sigmoid(matmul(np.full((4, 3), 0.5), w))
             loss = reduce_sum(mul(hidden, hidden))
         ref = weakref.ref(hidden.values)
-        backward(loss)
+        grads = backward(loss)
         del hidden, loss
         assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
-    assert w.grad is not None
+    assert grads[w].shape == w.shape
 
 
 def test_nested_tapes_raise():

@@ -368,15 +368,33 @@ def test_committed_spec_parses(tmp_path, spec_file):
             for dp in (0.0, 0.5) for wd in (0.0, 5e-5, 5e-4, 5e-3)}
 
 
-def test_resolve_graph_caches(tmp_path, monkeypatch):
+def test_resolve_graph_caches(tmp_path):
     spec = parse_spec(write_spec(tmp_path))
-    g1 = resolve_graph(spec.dataset)
-    g2 = resolve_graph(spec.dataset)
+    g1 = resolve_graph(spec.dataset, None)
+    g2 = resolve_graph(spec.dataset, None)
     assert g1 is g2
     filtered = resolve_graph(spec.dataset, (("intra_id",), 1.0, 3))
     assert filtered.num_edges < g1.num_edges
-    monkeypatch.setattr(experiments, "_GRAPH_CACHE", {})
-    assert resolve_graph(spec.dataset) is not g1
+    assert resolve_graph(spec.dataset, (("intra_id",), 1.0, 3)) is filtered
+    resolve_graph.cache_clear()
+    assert resolve_graph(spec.dataset, None) is not g1
+
+
+def test_runs_reuse_the_graph_parse_spec_loaded(tmp_path, monkeypatch):
+    spec = parse_spec(write_spec(tmp_path, name="edge-ablation", arch="gcn", heads=1,
+                                 steps=2, splits=1))
+    loaded = resolve_graph(spec.dataset, None)
+
+    def generate(*args):
+        raise AssertionError("the graph was generated again")
+
+    monkeypatch.setattr(experiments, "sbm_generate", generate)
+    seen = []
+    make_splits = experiments.make_splits
+    monkeypatch.setattr(experiments, "make_splits",
+                        lambda graph, seed: seen.append(graph) or make_splits(graph, seed=seed))
+    run_edge_ablation(spec, seed_base=0)
+    assert seen[0] is loaded  # the untouched condition trains on the loaded graph
 
 
 # ---------------------------------------------------------------------------
@@ -550,38 +568,52 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
 def recording_pool(monkeypatch):
     RecordingPool.made = []
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments, "_run_single", lambda task: ("ran", task))
+    monkeypatch.setattr(experiments, "_run_single", lambda task, out_dir: ("ran", task, out_dir))
     return RecordingPool.made
 
 
 def test_pool_holds_no_more_workers_than_tasks(recording_pool):
     tasks = ["a", "b", "c", "d"]
-    ran = [("ran", t) for t in tasks]
-    assert experiments.execute_tasks(tasks, workers=64) == ran
-    assert experiments.execute_tasks(tasks, workers=3) == ran
+    ran = [("ran", t, "out") for t in tasks]
+    assert list(experiments.execute_tasks(tasks, workers=64, out_dir="out")) == ran
+    assert list(experiments.execute_tasks(tasks, workers=3, out_dir="out")) == ran
     assert recording_pool == [
         {"max_workers": 4, "initializer": experiments._retain_freed_memory},
         {"max_workers": 3, "initializer": experiments._retain_freed_memory}]
     # one task, or one worker, runs in this process
-    assert experiments.execute_tasks(["a"], workers=8) == [("ran", "a")]
-    assert experiments.execute_tasks(tasks, workers=1) == ran
-    assert experiments.execute_tasks([], workers=8) == []
+    assert list(experiments.execute_tasks(["a"], workers=8)) == [("ran", "a", None)]
+    assert list(experiments.execute_tasks(tasks, workers=1, out_dir="out")) == ran
+    assert list(experiments.execute_tasks([], workers=8)) == []
     assert len(recording_pool) == 2
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_are_rejected(recording_pool, workers):
+def test_workers_below_one_are_rejected(recording_pool, tmp_path, workers):
+    records = experiments.execute_tasks(["a"], workers=workers)
     with pytest.raises(ConfigError, match="workers must be at least 1"):
-        experiments.execute_tasks(["a"], workers=workers)
+        next(records)
     assert recording_pool == []
+    spec = parse_spec(write_spec(tmp_path, steps=2))
+    with pytest.raises(ConfigError, match="workers must be at least 1"):
+        run_train_eval(spec, workers=workers, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_records_stream_as_the_runs_finish(monkeypatch):
+    finished = []
+    monkeypatch.setattr(experiments, "_run_single",
+                        lambda task, out_dir: finished.append(task) or task)
+    records = experiments.execute_tasks(["a", "b", "c"], workers=1)
+    assert (next(records), finished) == ("a", ["a"])
+    assert (next(records), finished) == ("b", ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +657,22 @@ def test_a_failed_run_file_write_leaves_no_report(tmp_path, monkeypatch):
         run_train_eval(spec, seed_base=0, out_dir=out)
     assert (out / "history").is_dir()
     assert not list(out.glob("report.*"))
+
+
+def test_each_run_writes_its_files_before_the_next_task_starts(tmp_path, monkeypatch):
+    spec = parse_spec(write_spec(tmp_path, splits=2, seeds=1, steps=3))
+    out = tmp_path / "out"
+    on_disk = []
+    train = experiments.train
+
+    def listing_train(*args):
+        on_disk.append(sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv")))
+        return train(*args)
+
+    monkeypatch.setattr(experiments, "train", listing_train)
+    run_train_eval(spec, seed_base=0, workers=1, out_dir=out)
+    assert on_disk == [[], ["curves/oodgat-s0r0-att-roc.csv", "curves/oodgat-s0r0-roc.csv",
+                            "history/oodgat-s0r0.csv"]]
 
 
 def test_train_eval_rerun_byte_identical(tmp_path):
@@ -747,7 +795,7 @@ def test_gen_sbm_round_trips_via_bundle(tmp_path):
     assert json.loads((out / "meta.json").read_text())["ood_classes"] == [3]
 
     loaded = load_graph_bundle(out, ood_classes={3})
-    direct = resolve_graph(spec.dataset)
+    direct = resolve_graph(spec.dataset, None)
     np.testing.assert_array_equal(loaded.edges, direct.edges)
     np.testing.assert_array_equal(loaded.features, direct.features)
     np.testing.assert_array_equal(loaded.identity, direct.identity)

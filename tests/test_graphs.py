@@ -351,7 +351,7 @@ def test_identity_bound_on_random_graphs():
                         seed=int(rng.integers(1 << 30)))
         if g.num_edges == 0:
             continue
-        k = g.num_classes
+        k = int(g.labels.max()) + 1
         mapping = {c: int(rng.integers(0, 2)) for c in range(k)}
         if len(set(mapping.values())) < 2 and k >= 2:
             mapping[0] = 1 - mapping[0]

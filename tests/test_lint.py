@@ -1,9 +1,10 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and six guards
+"""Unused-import lint over src/, tests/ and perfbench/, and eight guards
 on src/: every public engine function is used, no sparse matrix is made
 dense outside the places that must, only the engine builds a
 message-passing index, bundle text has one parser, detection scores are
-sorted in one place, and the prediction softmax is applied only by
-`model_forward` (`test_prediction_softmax_is_applied_once`).
+sorted in one place, the prediction softmax is applied only by
+`model_forward` (`test_prediction_softmax_is_applied_once`), output files
+have one writer each, and one function starts the process pool.
 
 Standard library only: every name an import statement binds must be read
 somewhere in the same module, or listed in its `__all__`.
@@ -190,3 +191,22 @@ SOFTMAX_CALLERS = {"oodgat/layers.py": {"model_forward"},
 
 def test_prediction_softmax_is_applied_once():
     assert calls_outside(SOFTMAX_CALLERS, {"row_softmax"}) == []
+
+
+# Each output file has one writer: a run's history and curve files are
+# written by the process that trained it, the report files after the last
+# run, and a generated bundle by its own command.
+FILE_WRITERS = {"oodgat/experiments.py": {"_write_run_files", "export_report", "run_gen_sbm"},
+                "oodgat/graphs.py": {"save_graph_bundle"}}
+
+
+def test_output_files_have_one_writer_each():
+    assert calls_outside(FILE_WRITERS, {"_write_atomic"}) == []
+
+
+# The runs of an experiment stream from one pool, in task order.
+POOL_BUILDERS = {"oodgat/experiments.py": {"execute_tasks"}}
+
+
+def test_process_pool_is_built_only_in_execute_tasks():
+    assert calls_outside(POOL_BUILDERS, {"ProcessPoolExecutor"}) == []

@@ -9,7 +9,6 @@ from oodgat.errors import ConfigError
 from oodgat.graphs import make_graph
 from oodgat.layers import ModelConfig, graph_index, init_params, model_forward
 from oodgat.losses import (
-    LossBreakdown,
     LossWeights,
     compute_objective,
     consistency_loss,
@@ -235,12 +234,6 @@ def test_total_loss_breakdown_invariant():
 def test_total_loss_rejects_negative_step():
     with pytest.raises(ConfigError, match=">= 0"):
         total_loss({"ce": Tensor([[1.0]])}, LossWeights(), t=-1)
-
-
-def test_breakdown_as_dict_round_trip():
-    b = LossBreakdown(ce=1.0, con=-0.5, ent=1.1, dis=-0.9, decay=0.95, total=0.7)
-    d = b.as_dict()
-    assert LossBreakdown(**d) == b
 
 
 # ---------------------------------------------------------------------------

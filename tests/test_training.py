@@ -254,7 +254,7 @@ def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
     from oodgat.experiments import parse_spec, resolve_graph
 
     spec = parse_spec(Path(__file__).resolve().parents[1] / "specs" / "sbm-demo.spec")
-    graph = resolve_graph(spec.dataset)
+    graph = resolve_graph(spec.dataset, None)
     cfg = replace(spec.train, max_steps=2)
     if arch == "gat":
         cfg = replace(cfg, loss_weights=LossWeights())
