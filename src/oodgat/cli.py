@@ -89,6 +89,10 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
 
     _need(args, "spec", "out")
+    # --out, or the nearest path above it that exists, must be a directory
+    existing = next((p for p in (args.out, *args.out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"--out {args.out}: {existing} exists and is not a directory")
     spec = parse_spec(args.spec, expected_name=args.command)
 
     if args.command == "gen-sbm":

@@ -10,13 +10,18 @@ wherever a Tensor is accepted; they take part in the forward computation
 but never receive gradients. This is how node features stay sparse all
 the way through the first linear layer without materialising a dense
 copy.
+
+Fused ops stand for chains of elementwise ops as one tape node each,
+with a hand-written backward: the objective terms, and `attention`, a
+whole attention layer after its product h W, which returns two outputs
+(the layer output and the mean node score) from its one node.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,8 +89,13 @@ class GradTape:
         return False
 
 
-def _record(out: Tensor, inputs: tuple, bwd: Callable[[Array], Sequence[Array | None]]):
-    """Attach `out` to the active tape if any input needs a gradient."""
+def _record(out: Tensor | tuple[Tensor, ...], inputs: tuple, bwd: Callable):
+    """Attach `out` to the active tape if any input needs a gradient.
+
+    `out` may be a tuple of outputs that share one node and its `tape_id`;
+    `bwd` then takes a tuple of their gradients, None for an output the
+    loss does not reach.
+    """
     tape = _active_tape()
     if tape is None:
         return
@@ -94,9 +104,10 @@ def _record(out: Tensor, inputs: tuple, bwd: Callable[[Array], Sequence[Array | 
             break
     else:
         return
-    out.requires_grad = True
-    out.tape_id = len(tape._nodes)
-    out._tape = tape
+    for o in out if type(out) is tuple else (out,):
+        o.requires_grad = True
+        o.tape_id = len(tape._nodes)
+        o._tape = tape
     tape._nodes.append((out, inputs, bwd))
 
 
@@ -150,7 +161,11 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     # that cycle, so reference counting frees the step once callers let go.
     nodes, tape._nodes = tape._nodes, []
     for out, inputs, bwd in reversed(nodes):
-        g = grads.pop(id(out), None)
+        if type(out) is tuple:
+            g = tuple(grads.pop(id(o), None) for o in out)
+            g = None if all(gi is None for gi in g) else g
+        else:
+            g = grads.pop(id(out), None)
         if g is None:
             continue  # not on any path to the loss
         for t, gi in zip(inputs, bwd(g)):
@@ -209,11 +224,14 @@ def scale(x, c: float) -> Tensor:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    v = _values(x)
-    # stable logistic: never exponentiates a large positive argument
+def _logistic(v: Array) -> Array:
+    # stable: never exponentiates a large positive argument
     z = np.exp(-np.abs(v))
-    y = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+def sigmoid(x) -> Tensor:
+    y = _logistic(_values(x))
     out = Tensor(y)
     _record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -265,19 +283,6 @@ def take_rows(x, rows) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     out = Tensor(np.take(v, rows, axis=0))
     _record(out, (x,), lambda g: (_scatter_rows(g, rows, v.shape[0]),))
-    return out
-
-
-def slice_rows(x, start: int, stop: int) -> Tensor:
-    v = _values(x)
-    out = Tensor(v[start:stop].copy())
-
-    def bwd(g):
-        gx = np.zeros_like(v)
-        gx[start:stop] = g
-        return (gx,)
-
-    _record(out, (x,), bwd)
     return out
 
 
@@ -471,9 +476,10 @@ class SegmentIndex:
     Every group is non-empty, as it holds the node's own self entry.
     `targets` and `self_pos` follow from the pattern and are derived on
     first use, as are the sparse matrices; all are kept with the index.
-    `spmm` writes its weights into the shared `data` buffer of
-    `head_blocks`, so one index must not run spmm in two threads at once.
-    Indices compare and hash by identity, as those caches assume.
+    `attention`, the one reader of `head_blocks`, writes its weights into
+    their shared `data` buffer, so one index must not run attention in
+    two threads at once. Indices compare and hash by identity, as those
+    caches assume.
     """
 
     sources: Array
@@ -576,123 +582,131 @@ def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
 
 _LEAKY_SLOPE = 0.2
 
-
-def edge_softmax(left, right, index: SegmentIndex, kind: str) -> Tensor:
-    """Edge logits from per-node scores, softmaxed within each target group.
-
-    left, right: (num_nodes, K); returns (num_entries, K), column k being
-    head k. Entry (t, s) of the index has the logit
-      kind "agree": 1 - |left[t] - right[s]|   (OOD-score agreement)
-      kind "leaky": LeakyReLU_0.2(left[t] + right[s])   (GAT)
-    "agree" shifts its logits by 1 instead of by the group maximum. With
-    left and right the same tensor, that is the self entry's logit and
-    the maximum of its group, so the result is bit for bit the
-    max-shifted softmax; for other scores the softmax is unchanged, but
-    logits far below 1 can underflow.
-    """
-    lv, rv = _values(left), _values(right)
-    n = index.num_nodes
-    if lv.shape != rv.shape or lv.shape[0] != n:
-        raise EngineError(f"edge_softmax needs two ({n}, K) score matrices, "
-                          f"got {lv.shape} and {rv.shape}")
-    if kind not in ("agree", "leaky"):
-        raise EngineError(f"unknown edge_softmax kind {kind!r}")
-    targets, sources = index.targets, index.sources
-    starts = index.offsets[:-1]
-    # np.take along axis 0 gathers rows far faster than fancy indexing
-    lt, rs = np.take(lv, targets, axis=0), np.take(rv, sources, axis=0)
-    if kind == "agree":
-        diff = lt - rs
-        z = np.exp((1.0 - np.abs(diff)) - 1.0)
-    else:
-        raw = lt + rs
-        e = np.where(raw > 0, raw, _LEAKY_SLOPE * raw)
-        z = np.exp(e - np.take(np.maximum.reduceat(e, starts, axis=0), targets, axis=0))
-    y = z / np.take(np.add.reduceat(z, starts, axis=0), targets, axis=0)
-    out = Tensor(y)
-
-    def bwd(g):
-        inner = np.add.reduceat(g * y, starts, axis=0)
-        g_logit = y * (g - np.take(inner, targets, axis=0))
-        if kind == "agree":
-            # sign(0) = 0: the subgradient that keeps untrained scorers inert
-            g_left = -g_logit * np.sign(diff)
-            g_right = -g_left
-        else:
-            g_left = g_right = g_logit * np.where(raw > 0, 1.0, _LEAKY_SLOPE)
-        return (_scatter_rows(g_left, targets, n) if _needs_grad(left) else None,
-                _scatter_rows(g_right, sources, n) if _needs_grad(right) else None)
-
-    _record(out, (left, right), bwd)
-    return out
-
-
-def head_project(x, a) -> Tensor:
-    """Per-head projection: (n, K*d) x (d, K) -> (n, K), column k = x_k @ a[:, k]
-    with x_k the k-th block of d columns."""
-    xv, av = _values(x), _values(a)
-    d, K = av.shape
-    if xv.shape[1] != K * d:
-        raise EngineError(f"head_project needs {K} blocks of width {d}, got {xv.shape}")
-    x3 = xv.reshape(len(xv), K, d)
-    out = Tensor(np.einsum("nkd,dk->nk", x3, av))
-
-    def bwd(g):
-        gx = (g[:, :, None] * av.T).reshape(xv.shape) if _needs_grad(x) else None
-        ga = np.einsum("nkd,nk->dk", x3, g) if _needs_grad(a) else None
-        return (gx, ga)
-
-    _record(out, (x, a), bwd)
-    return out
-
-
-# entries per block of spmm's weight-gradient gather
+# entries per block of the attention backward's weight-gradient gather
 _SDDMM_CHUNK = 2048
 
 
-def spmm(weights, h, index: SegmentIndex) -> Tensor:
-    """Per head k, A_k @ h_k, where A_k is the index's matrix with data
-    weights[:, k] and h_k is the k-th of K column blocks of h.
+def _add_into(acc: Array | None, x: Array) -> Array:
+    """acc + x, added in place into acc; x itself when acc is None."""
+    if acc is None:
+        return x
+    acc += x
+    return acc
 
-    weights: (num_entries, K), h: (num_nodes, K*d) -> (num_nodes, K*d).
+
+@lru_cache(maxsize=None)
+def _head_average(heads: int, width: int) -> Array:
+    """(heads*width, width) constant whose product with K side-by-side
+    blocks of `width` columns is their mean; read-only, as it is shared."""
+    avg = np.tile(np.eye(width), (heads, 1)) / heads
+    avg.flags.writeable = False
+    return avg
+
+
+def attention(hw, attn, index: SegmentIndex, kind: str,
+              average: bool = False) -> tuple[Tensor, Tensor | None]:
+    """A multi-head attention layer over `index`, all K = attn.shape[1]
+    heads at once, as one tape node: (output, mean score).
+
+    hw: (num_nodes, K*d), head k owning column block k. Head k gives entry
+    (t, s) of the index the logit
+      kind "agree" (oodgat), attn (d, K): 1 - |w_k(t) - w_k(s)| with the
+        node scores w_k = sigmoid(hw_k @ attn[:, k]);
+      kind "leaky" (gat), attn (2d, K): LeakyReLU_0.2(hw_k(t) @ l_k +
+        hw_k(s) @ r_k), l_k and r_k the halves of column k,
+    softmaxes the logits within each target's group into the weights of
+    the matrix A_k, and outputs A_k @ hw_k. "agree" shifts its logits by
+    1, which is the self entry's logit and its group's maximum; "leaky"
+    by the group maximum. The output keeps the heads side by side, or
+    with `average` is their (num_nodes, d) mean. The mean score is the
+    (num_nodes, 1) head mean of the node scores, None for "leaky".
+
     All heads run as one CSR product over (node, head) rows (see
-    `SegmentIndex.head_blocks`). The backward is A_k^T @ g_k for h and,
-    per entry and head, g_k[target] . h_k[source] (an SDDMM) for the
-    weights. Forward and backward each write their own weights into the
-    shared pattern right before its product, so products that share an
-    index never see each other's weights.
+    `SegmentIndex.head_blocks`). The backward is A_k^T @ g_k for hw and,
+    per entry, g_k(t) . hw_k(s) (an SDDMM) for the weights; forward and
+    backward each write their weights into the shared pattern right
+    before its product, so calls that share an index never see each
+    other's weights. Values and gradients are those of the chain of ops
+    this one node stands for, bit for bit: a per-head projection, the
+    sigmoid, the edge softmax, the product and the head means.
     """
-    wv, hv = _values(weights), _values(h)
-    n, E = index.num_nodes, index.num_entries
-    if wv.shape[0] != E or hv.shape[0] != n or hv.shape[1] % wv.shape[1]:
-        raise EngineError(f"spmm operands {wv.shape} and {hv.shape} do not match the index")
-    K = wv.shape[1]
-    d = hv.shape[1] // K
+    hv, av = _values(hw), _values(attn)
+    if kind not in ("agree", "leaky"):
+        raise EngineError(f"unknown attention kind {kind!r}")
+    n, E, K = index.num_nodes, index.num_entries, av.shape[1]
+    stacked = 1 if kind == "agree" else 2  # vectors per head in attn
+    d = av.shape[0] // stacked
+    if av.shape[0] != stacked * d or hv.shape != (n, K * d):
+        raise EngineError(f"attention operands {hv.shape} and {av.shape} do not match "
+                          f"the index and kind {kind!r}")
+    targets, sources, starts = index.targets, index.sources, index.offsets[:-1]
+    x3 = hv.reshape(n, K, d)
+    # the rows of attn that each projection reads, in the chain's backward
+    # order: for "leaky" the source half, then the target half
+    parts = [slice(None)] if kind == "agree" else [slice(d, None), slice(0, d)]
+    proj = [np.einsum("nkd,dk->nk", x3, av[rows]) for rows in parts]
+    # np.take along axis 0 gathers rows far faster than fancy indexing
+    if kind == "agree":
+        w = _logistic(proj[0])
+        diff = np.take(w, targets, axis=0) - np.take(w, sources, axis=0)
+        z = np.exp((1.0 - np.abs(diff)) - 1.0)
+    else:
+        raw = np.take(proj[1], targets, axis=0) + np.take(proj[0], sources, axis=0)
+        e = np.where(raw > 0, raw, _LEAKY_SLOPE * raw)
+        z = np.exp(e - np.take(np.maximum.reduceat(e, starts, axis=0), targets, axis=0))
+    alpha = z / np.take(np.add.reduceat(z, starts, axis=0), targets, axis=0)
     A, AT, take = index.head_blocks(K)
-    flat_w = wv.ravel()
-    np.take(flat_w, take, out=A.data)
-    out = Tensor((A @ hv.reshape(n * K, d)).reshape(n, K * d))
+    flat = alpha.ravel()
+    np.take(flat, take, out=A.data)
+    y = (A @ hv.reshape(n * K, d)).reshape(n, K * d)
+    out = Tensor(y @ _head_average(K, d) if average else y)
+    score = None if kind == "leaky" else Tensor(w @ _head_average(K, 1))
 
-    def bwd(g):
-        gw = gh = None
-        if _needs_grad(weights):
+    def bwd(grads):
+        g, g_w = grads if kind == "agree" else (grads, None)
+        g_hw = None
+        if g_w is not None:  # the mean score's gradient, spread over the heads
+            g_w = np.asarray(g_w @ _head_average(K, 1).T)
+        if g is not None:
+            if average:
+                g = np.asarray(g @ _head_average(K, d).T)
             # all heads at once, _SDDMM_CHUNK entries at a time: gathering
             # all E entries at once holds two (E, K*d) copies and raised
             # the peak memory
-            gw = np.empty((E, K))
-            g3, h3 = g.reshape(n, K, d), hv.reshape(n, K, d)
+            g_alpha = np.empty((E, K))
+            g3 = g.reshape(n, K, d)
             for start in range(0, E, _SDDMM_CHUNK):
                 stop = start + _SDDMM_CHUNK
-                np.einsum("ekd,ekd->ek", np.take(g3, index.targets[start:stop], axis=0),
-                          np.take(h3, index.sources[start:stop], axis=0),
-                          out=gw[start:stop])
-        if _needs_grad(h):
-            np.take(flat_w, take, out=A.data)
-            gh = (AT @ g.reshape(n * K, d)).reshape(n, K * d)
-        return (gw, gh)
+                np.einsum("ekd,ekd->ek", np.take(g3, targets[start:stop], axis=0),
+                          np.take(x3, sources[start:stop], axis=0), out=g_alpha[start:stop])
+            if _needs_grad(hw):
+                np.take(flat, take, out=A.data)
+                g_hw = (AT @ g.reshape(n * K, d)).reshape(n, K * d)
+            inner = np.add.reduceat(g_alpha * alpha, starts, axis=0)
+            g_logit = alpha * (g_alpha - np.take(inner, targets, axis=0))
+            if kind == "agree":
+                # sign(0) = 0: the subgradient that keeps untrained scorers inert
+                g_t = -g_logit * np.sign(diff)
+                g_s = -g_t
+            else:
+                g_t = g_s = g_logit * np.where(raw > 0, 1.0, _LEAKY_SLOPE)
+            g_t, g_s = _scatter_rows(g_t, targets, n), _scatter_rows(g_s, sources, n)
+            if kind == "agree":
+                g_w = _add_into(_add_into(g_w, g_t), g_s)
+        if kind == "agree":
+            g_w *= w
+            g_w *= 1.0 - w
+        g_attn = np.zeros_like(av) if _needs_grad(attn) else None
+        for rows, g_proj in zip(parts, [g_w] if kind == "agree" else [g_s, g_t]):
+            if _needs_grad(hw):
+                g_hw = _add_into(g_hw, (g_proj[:, :, None]
+                                        * np.ascontiguousarray(av[rows].T)).reshape(hv.shape))
+            if g_attn is not None:
+                g_attn[rows] += np.einsum("nkd,nk->dk", x3, g_proj)
+        return (g_hw, g_attn)
 
-    _record(out, (weights, h), bwd)
-    return out
+    _record(out if score is None else (out, score), (hw, attn), bwd)
+    return out, score
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,9 @@ def parse_spec(path, expected_name: str | None = None) -> ExperimentSpec:
         raise ConfigError("experiment name missing: put name= under [experiment]")
     if expected_name is not None and name != expected_name:
         raise ConfigError(f"spec names experiment {name!r} but {expected_name!r} was requested")
-    if name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {name!r}; valid: {EXPERIMENT_NAMES}")
+    valid = (*RUNNERS, "gen-sbm")  # the commands that read a spec
+    if name not in valid:
+        raise ConfigError(f"unknown experiment {name!r}; valid: {valid}")
     counts = {k: _value(k, v, "int") for k, v in exp.items()}
     if min(counts.values(), default=1) < 1:
         raise ConfigError("splits and seeds_per_split must be >= 1")
@@ -757,11 +758,11 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     """One gradient check per differentiable operation, then the full
     oodgat, gcn and gat objectives on a 12-node random graph, the oodgat
     objective once more in training mode (dropout and drop-edge), the
-    full mlp objective, the multi-head (K-column) forms of the attention
-    ops, the fused edge softmax and objective terms, the row gather, and
-    last the gcn objective over features narrower than its hidden layer,
-    in evaluation and in training mode; each later check leaves the
-    earlier draws unchanged."""
+    full mlp objective, the fused objective terms, the row gather, the
+    gcn objective over features narrower than its hidden layer, in
+    evaluation and in training mode, and last the attention op in both
+    kinds over three heads, side by side and averaged; each later check
+    leaves the earlier draws unchanged."""
     rng = np.random.default_rng(seed)
 
     def t(shape, low=-2.0, high=2.0):
@@ -785,8 +786,6 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     m1, m2 = t((3, 5)), t((5, 2))
     check("matmul", lambda: engine.reduce_sum(engine.matmul(m1, m2)),
           {"m1": m1, "m2": m2}, 1e-6)
-    check("slice_rows", lambda: engine.reduce_sum(engine.slice_rows(m2, 1, 4)),
-          {"m2": m2}, 1e-6)
     check("reduce_sum", lambda: engine.reduce_sum(engine.mul(a, a)), {"a": a}, 1e-6)
     check("row_softmax", lambda: engine.reduce_sum(
         engine.mul(engine.row_softmax(a), b)), {"a": a, "b": b}, 1e-6)
@@ -800,14 +799,11 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     check("cosine_similarity", lambda: engine.cosine_similarity(c1, c2),
           {"c1": c1, "c2": c2}, 1e-6)
 
+    # the attention checks come last, over this 6-node index; the draws
+    # here and below keep the random stream of the checks between
     seg = _random_segment_graph(rng, 6)
-    sv = t((seg.num_entries, 1))
-    # an (entries, 3) draw keeps the random stream of the checks below
-    sh = Tensor(t((seg.num_entries, 3)).values[:seg.num_nodes].copy(), requires_grad=True)
-    mixer = np.linspace(-1.0, 1.0, sh.values.size).reshape(sh.shape)
-    check("spmm", lambda: engine.reduce_sum(
-        engine.mul(engine.spmm(engine.sigmoid(sv), sh, seg), mixer)),
-        {"sv": sv, "sh": sh}, 1e-6)
+    t((seg.num_entries, 1))
+    t((seg.num_entries, 3))
 
     # the full objective on a 12-node random graph
     n = 12
@@ -845,28 +841,15 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     check("full_mlp_objective", objective(mlp_cfg, mlp_params, LossWeights()),
           mlp_params, 1e-4)
 
-    # the multi-head forms: K = 3 heads of width 2 on the 6-node index
+    # K = 3 heads of width 2 on the 6-node index, for the attention checks
     heads = 3
     hh = t((seg.num_nodes, 2 * heads))
     proj = t((2, heads))
-    node_vals = t((seg.num_nodes, heads))
-    head_logits = t((seg.num_entries, heads))
-    head_mixer = np.linspace(-1.0, 1.0, hh.values.size).reshape(hh.shape)
-    check("head_project", lambda: engine.reduce_sum(engine.mul(
-        engine.head_project(hh, proj), node_vals)), {"hh": hh, "proj": proj}, 1e-6)
-    check("spmm_heads", lambda: engine.reduce_sum(engine.mul(
-        engine.spmm(engine.sigmoid(head_logits), hh, seg), head_mixer)),
-        {"head_logits": head_logits, "hh": hh}, 1e-6)
+    t((seg.num_nodes, heads))
+    t((seg.num_entries, heads))
+    t((seg.num_nodes, heads))
 
-    # the fused edge softmax in both kinds, K = 3, and the fused objective terms
-    right_vals = t((seg.num_nodes, heads))
-    edge_mixer = np.arange(seg.num_entries * heads, dtype=float).reshape(-1, heads)
-    check("edge_softmax_agree", lambda: engine.reduce_sum(engine.mul(
-        engine.edge_softmax(node_vals, node_vals, seg, "agree"), edge_mixer)),
-        {"node_vals": node_vals}, 1e-4)
-    check("edge_softmax_leaky", lambda: engine.reduce_sum(engine.mul(
-        engine.edge_softmax(node_vals, right_vals, seg, "leaky"), edge_mixer)),
-        {"node_vals": node_vals, "right_vals": right_vals}, 1e-4)
+    # the fused objective terms
     check("log_sum_entries", lambda: engine.log_sum(
         pos, np.array([0, 1, 2, 0]), np.array([3, 0, 2, 3]), -0.7), {"pos": pos}, 1e-6)
     check("log_sum_rows", lambda: engine.log_sum(pos, np.array([2, 0, 2]), None, 0.4),
@@ -895,6 +878,26 @@ def gradcheck_battery(seed: int = 0) -> list[tuple[str, object]]:
     check("full_gcn_objective_narrow_training", objective(
         narrow_cfg, narrow_params, LossWeights(), TrainConfig(dropout_p=0.3, drop_edge_p=0.3)),
         narrow_params, 1e-4)
+
+    # the attention op in both kinds, K = 3, with the heads side by side
+    # and averaged; the output and the mean score both reach the loss
+    attn = t((4, heads))
+    score_mixer = np.linspace(1.0, -0.5, seg.num_nodes).reshape(-1, 1)
+
+    def attention_build(kind, vectors, average):
+        def build():
+            out, score = engine.attention(hh, vectors, seg, kind, average)
+            loss = engine.reduce_sum(engine.mul(out, np.linspace(-1.0, 1.0, out.values.size)
+                                                .reshape(out.shape)))
+            if score is None:
+                return loss
+            return engine.add(loss, engine.reduce_sum(engine.mul(score, score_mixer)))
+        return build
+
+    for kind, vectors in (("agree", proj), ("leaky", attn)):
+        for average in (False, True):
+            check(f"attention_{kind}" + "_average" * average,
+                  attention_build(kind, vectors, average), {"hh": hh, "attn": vectors}, 1e-4)
     return checks
 
 

@@ -2,12 +2,13 @@
 
 All four are one two-layer model, `model_forward`: layer 1, activation,
 dropout in training, layer 2, row softmax, so outputs are probability
-rows. Only the layer op differs: a product (mlp), `gcn_layer`, or the
-`attention_layer` that GAT and the OOD-aware network share. Its K heads
-live side by side: W is (in, K*width), head k owning column block k, and
-the attention vectors are the K columns of `a` (width, K) or `attn`
-(2*width, K). The hidden layer keeps the heads side by side, and the
-prediction layer averages them.
+rows. Only the layer op differs: a product (mlp), `gcn_layer`, or for
+GAT and the OOD-aware network the product h W followed by one
+`engine.attention` op, of kind "leaky" and "agree" respectively. Its K
+heads live side by side: W is (in, K*width), head k owning column block
+k, and the attention vectors are the K columns of `a` (width, K) or
+`attn` (2*width, K). The hidden layer keeps the heads side by side, and
+the prediction layer averages them.
 
 The OOD-aware layer scores every node with a per-head classifier
 w(v) = sigmoid(a^T W h_v) and turns score agreement into edge attention:
@@ -17,7 +18,6 @@ e_ij = 1 - |w(i) - w(j)|, normalized per neighborhood (self entries: 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -143,64 +143,17 @@ def _input_dropout(x, p: float, rng: np.random.Generator):
 # layer forwards
 
 
-def oodgat_edge_attention(hw: Tensor, a: Tensor, index: SegmentIndex) -> tuple[Tensor, Tensor]:
-    """Node scores w = sigmoid(a_k^T hw_k) and, from their agreement, the
-    softmax over e = 1 - |w_t - w_s|: (attention, scores). A self entry's
-    raw e is exactly 1, the group maximum."""
-    scores = engine.sigmoid(engine.head_project(hw, a))
-    return engine.edge_softmax(scores, scores, index, "agree"), scores
-
-
-def gat_edge_attention(hw: Tensor, attn: Tensor, index: SegmentIndex) -> tuple[Tensor, None]:
-    """Softmax over e_ij = LeakyReLU_0.2(attn_k^T [hw_k(i) || hw_k(j)]), whose
-    target half and source half are each a per-node projection."""
-    d = attn.shape[0] // 2
-    s_t = engine.head_project(hw, engine.slice_rows(attn, 0, d))
-    s_s = engine.head_project(hw, engine.slice_rows(attn, d, 2 * d))
-    return engine.edge_softmax(s_t, s_s, index, "leaky"), None
-
-
 @dataclass(frozen=True)
 class Attention:
-    edge_attention: Callable  # (hw, attn, index) -> (edge attention, node scores or None)
-    param: str                # the layers' attention parameters: l1.<param>, l2.<param>
-    head_init: Callable       # (rng, head width) -> one head's initial attention column
+    kind: str             # the `engine.attention` kind of its layers
+    param: str            # the layers' attention parameters: l1.<param>, l2.<param>
+    head_init: Callable   # (rng, head width) -> one head's initial attention column
 
 
 ATTENTION = {
-    "gat": Attention(gat_edge_attention, "attn", lambda rng, width: _glorot(rng, 2 * width, 1)),
-    "oodgat": Attention(oodgat_edge_attention, "a", lambda rng, width: np.zeros((width, 1))),
+    "gat": Attention("leaky", "attn", lambda rng, width: _glorot(rng, 2 * width, 1)),
+    "oodgat": Attention("agree", "a", lambda rng, width: np.zeros((width, 1))),
 }
-
-
-@lru_cache(maxsize=None)
-def _head_average(heads: int, width: int) -> np.ndarray:
-    """(heads*width, width) constant whose product with K side-by-side
-    blocks of `width` columns is their mean; read-only, as it is shared."""
-    avg = np.tile(np.eye(width), (heads, 1)) / heads
-    avg.flags.writeable = False
-    return avg
-
-
-def attention_layer(h, index: SegmentIndex, W: Tensor, attn: Tensor, edge_attention,
-                    average: bool = False) -> tuple[Tensor, Tensor | None]:
-    """One multi-head attention layer, all K = attn.shape[1] heads at once,
-    with no activation: (output, mean score).
-
-    `edge_attention(hw, attn, index)` gives the (E, K) edge attention and
-    the (n, K) node scores or None: `gat_edge_attention` or
-    `oodgat_edge_attention`. The output keeps the heads side by side, or
-    with `average` (the prediction layer) is their mean. The mean score
-    (n, 1) is the head average of the node scores, None for gat.
-    """
-    heads = attn.shape[1]
-    hw = engine.matmul(h, W)
-    alpha, scores = edge_attention(hw, attn, index)
-    out = engine.spmm(alpha, hw, index)
-    mean_score = None if scores is None else engine.matmul(scores, _head_average(heads, 1))
-    if average:
-        out = engine.matmul(out, _head_average(heads, out.shape[1] // heads))
-    return out, mean_score
 
 
 def gcn_layer(h, index: SegmentIndex | sp.csr_matrix, W: Tensor) -> Tensor:
@@ -327,8 +280,8 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         if arch != "mlp":
             idx = getattr(field, f"layer{k}") if field else drop_edge(index, drop_edge_p, rng)
         if attention:
-            h, score = attention_layer(h, idx, W, params[f"l{k}.{attention.param}"],
-                                       attention.edge_attention, average=k == 2)
+            h, score = engine.attention(engine.matmul(h, W), params[f"l{k}.{attention.param}"],
+                                        idx, attention.kind, average=k == 2)
         else:
             h = gcn_layer(h, idx, W) if arch == "gcn" else engine.matmul(h, W)
         h = act(h) if k == 1 else engine.row_softmax(h)

@@ -184,6 +184,22 @@ def test_missing_out_is_reported_before_the_spec_loads(tmp_path, capsys):
     assert capsys.readouterr().err == "ERROR ConfigError: --out is required for train-eval\n"
 
 
+@pytest.mark.parametrize("below", ["", "run/a"])
+@pytest.mark.parametrize("command", ["train-eval", "gen-sbm"])
+def test_out_naming_a_file_is_single_error_line(tmp_path, capsys, command, below):
+    # a spec that runs: the file, as --out or above it, is refused before
+    # any run trains
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    out = taken / below if below else taken
+    assert main([command, "--spec", str(tiny_spec(tmp_path, name=command)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"ERROR ConfigError: --out {out}: {taken} exists and is not "
+                            "a directory\n")
+    assert captured.out == ""
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_workers_below_one_is_reported_before_the_spec_loads(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["train-eval", "--spec", str(missing_bundle_spec(tmp_path)), "--out", str(out),

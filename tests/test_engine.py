@@ -2,11 +2,11 @@
 
 Expected gradients here come from two independent sources: hand-derived
 closed forms frozen as literals, and central finite differences via
-grad_check. The edge softmax is additionally checked against a plain-loop
-reference, its scatters against np.add.at, spmm against a dense matrix
-product (per head when it runs several heads), and the multi-head spmm
-against single-head products bit for bit. tests/test_fused_ops.py holds
-the elementwise chains the fused ops replaced.
+grad_check. The attention op is additionally checked against a
+plain-loop softmax and a dense matrix product, its backward against a
+dense derivation and its scatters against np.add.at, and its heads
+against single-head calls. tests/test_fused_ops.py holds the chains of
+ops the fused ops replaced.
 """
 
 import gc
@@ -22,11 +22,11 @@ from oodgat.engine import (
     SegmentIndex,
     Tensor,
     add,
+    attention,
     backward,
     build_segment_index,
     cosine_similarity,
     dropout,
-    edge_softmax,
     elu,
     grad_check,
     log_sum,
@@ -38,8 +38,6 @@ from oodgat.engine import (
     row_softmax,
     scale,
     sigmoid,
-    slice_rows,
-    spmm,
     standardize,
     take_rows,
     weighted_sum,
@@ -174,15 +172,16 @@ def test_abs_subgradient_at_zero_is_zero():
     # the "agree" logit 1 - |w_t - w_s| takes sign(0) = 0: an entry with
     # tied scores passes no gradient, whatever the downstream weights
     idx = build_segment_index(np.array([0, 1]), np.array([1, 2]), 3)  # 0-1, 1-2
-    weights = np.arange(idx.num_entries, dtype=float)[:, None]
+    weights = np.arange(9.0).reshape(3, 3)  # over identity features: one per (t, s)
     # all tied; then node 2 alone differs, so only node 0 (whose entries
     # are all tied) gets none
     for scores, nonzero in (([[0.4], [0.4], [0.4]], [False, False, False]),
                             ([[0.4], [0.4], [0.9]], [False, True, True])):
-        x = leaf(scores)
+        a = leaf(logit(np.array(scores)))
         with GradTape():
-            grads = backward(reduce_sum(mul(edge_softmax(x, x, idx, "agree"), weights)))
-        np.testing.assert_array_equal(grads[x][:, 0] != 0.0, nonzero)
+            out, _ = attention(Tensor(np.eye(3)), a, idx, "agree")
+            grads = backward(reduce_sum(mul(out, weights)))
+        np.testing.assert_array_equal(grads[a][:, 0] != 0.0, nonzero)
 
 
 def test_log_clamps_small_arguments():
@@ -276,6 +275,31 @@ def dense_matrix(weights, index):
     return A
 
 
+def logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
+def head_scores(hk, column, kind):
+    """One head's per-node (left, right) scores for the loop softmax, from
+    its feature block and its column of attn."""
+    if kind == "agree":
+        w = 1.0 / (1.0 + np.exp(-(hk @ column)))
+        return w, w
+    d = hk.shape[1]
+    return hk @ column[:d], hk @ column[d:]
+
+
+def attention_matrices(attn, index, kind):
+    """Each head's dense attention matrix, read off the op's output over
+    identity features: there head k's block A_k @ I is A_k, and its
+    projections are column k of attn, so that column holds the node
+    scores' logits ("agree") or the target and then the source scores
+    ("leaky")."""
+    n, K = index.num_nodes, attn.shape[1]
+    out, _ = attention(Tensor(np.tile(np.eye(n), K)), Tensor(attn), index, kind)
+    return [out.values[:, k * n:(k + 1) * n] for k in range(K)]
+
+
 def small_index():
     # edges 1->0, 2->0, 0->2 plus self entries for nodes 0..2
     return build_segment_index(np.array([1, 2, 0]), np.array([0, 0, 2]), 3)
@@ -320,20 +344,18 @@ def test_select_keeps_entries_in_entry_order():
     np.testing.assert_array_equal(sub.self_pos, [0, 3])
 
 
-def test_segment_softmax_hand_example():
+def test_attention_hand_example():
     idx = build_segment_index(np.array([1]), np.array([0]), 2)
     # group for node 0 has logits [0, 0] -> [0.5, 0.5]; node 1 alone -> [1]
-    zeros = Tensor(np.zeros((2, 1)))
-    y = edge_softmax(zeros, zeros, idx, "leaky")
-    np.testing.assert_allclose(y.values[:, 0], [0.5, 0.5, 1.0])
+    [A] = attention_matrices(np.zeros((4, 1)), idx, "leaky")
+    np.testing.assert_allclose(A, [[0.5, 0.5], [0.0, 1.0]])
     # scores 0.7 and 0.2: node 0's group has logits [1, 0.5]
-    scores = Tensor([[0.7], [0.2]])
-    y = edge_softmax(scores, scores, idx, "agree")
-    np.testing.assert_allclose(y.values[:, 0], [1 / (1 + np.exp(-0.5)),
-                                                1 / (1 + np.exp(0.5)), 1.0])
+    [A] = attention_matrices(logit(np.array([[0.7], [0.2]])), idx, "agree")
+    np.testing.assert_allclose(A, [[1 / (1 + np.exp(-0.5)), 1 / (1 + np.exp(0.5))],
+                                   [0.0, 1.0]])
 
 
-def test_segment_softmax_matches_loop_reference():
+def test_attention_matches_loop_reference():
     rng = np.random.default_rng(7)
     for trial in range(20):
         n = rng.integers(2, 30)
@@ -342,36 +364,36 @@ def test_segment_softmax_matches_loop_reference():
         dst = rng.integers(0, n, size=m)
         idx = build_segment_index(src, dst, n)
         left, right = rng.standard_normal((n, 1)) * 5, rng.standard_normal((n, 1)) * 5
-        for kind, r in (("agree", left), ("agree", right), ("leaky", right)):
-            got = edge_softmax(Tensor(left), Tensor(r), idx, kind).values
-            want = loop_edge_softmax(left[:, 0], r[:, 0], idx, kind)
-            np.testing.assert_allclose(got[:, 0], want, atol=1e-12)
-            sums = np.add.reduceat(got[:, 0], idx.offsets[:-1])
-            np.testing.assert_allclose(sums, np.ones(n), atol=1e-12)
+        scores = 1.0 / (1.0 + np.exp(-left))
+        for kind, attn, lt, rt in (("agree", left, scores, scores),
+                                   ("leaky", np.vstack([left, right]), left, right)):
+            [got] = attention_matrices(attn, idx, kind)
+            want = loop_edge_softmax(lt[:, 0], rt[:, 0], idx, kind)
+            np.testing.assert_allclose(got, dense_matrix(want[:, None], idx), atol=1e-12)
+            np.testing.assert_allclose(got.sum(axis=1), np.ones(n), atol=1e-12)
 
 
-def test_segment_softmax_shift_invariance():
+def test_attention_shift_invariance():
     idx = small_index()
     rng = np.random.default_rng(3)
     # positive scores: every leaky logit is the plain sum, so a shift of
     # one side shifts every logit alike
     left, right = rng.random((3, 1)) + 0.1, rng.random((3, 1)) + 0.1
-    base = edge_softmax(Tensor(left), Tensor(right), idx, "leaky").values
-    shifted = edge_softmax(Tensor(left + 500.0), Tensor(right), idx, "leaky").values
+    [base] = attention_matrices(np.vstack([left, right]), idx, "leaky")
+    [shifted] = attention_matrices(np.vstack([left + 500.0, right]), idx, "leaky")
     np.testing.assert_allclose(base, shifted, atol=1e-12)
-    extreme = Tensor(left * 1e4)
-    for r, kind in ((extreme, "agree"), (Tensor(-right * 1e4), "leaky")):
-        assert np.all(np.isfinite(edge_softmax(extreme, r, idx, kind).values))
+    for attn, kind in ((left * 1e4, "agree"), (np.vstack([left * 1e4, -right * 1e4]), "leaky")):
+        assert np.all(np.isfinite(attention_matrices(attn, idx, kind)[0]))
 
 
-def test_edge_softmax_rejects_bad_operands():
+def test_attention_rejects_bad_operands():
     idx = small_index()
-    with pytest.raises(EngineError, match="edge_softmax"):
-        edge_softmax(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))), idx, "leaky")
-    with pytest.raises(EngineError, match="edge_softmax"):
-        edge_softmax(Tensor(np.ones((4, 1))), Tensor(np.ones((4, 1))), idx, "agree")
+    with pytest.raises(EngineError, match="attention"):
+        attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), idx, "leaky")  # odd rows
+    with pytest.raises(EngineError, match="attention"):
+        attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), idx, "agree")  # 2 x 3 != 4
     with pytest.raises(EngineError, match="kind"):
-        edge_softmax(Tensor(np.ones((3, 1))), Tensor(np.ones((3, 1))), idx, "relu")
+        attention(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1))), idx, "relu")
 
 
 def test_segment_indices_compare_by_identity():
@@ -386,85 +408,143 @@ def test_segment_indices_compare_by_identity():
     (np.array([], dtype=int), np.array([], dtype=int), 5),  # self entries only
     (np.array([0, 1, 1]), np.array([1, 0, 2]), 6),           # nodes 3..5 isolated
 ])
-def test_spmm_matches_dense_product(src, dst, n):
+def test_attention_output_matches_dense_product(src, dst, n):
     rng = np.random.default_rng(11)
     idx = build_segment_index(src, dst, n)
-    wts = rng.standard_normal((idx.num_entries, 1))
-    h = rng.standard_normal((n, 4))
-    got = spmm(Tensor(wts), Tensor(h), idx).values
-    np.testing.assert_allclose(got, dense_matrix(wts, idx) @ h, atol=1e-12)
+    K, d = 2, 3
+    hw = rng.standard_normal((n, K * d))
+    for kind, rows in (("agree", d), ("leaky", 2 * d)):
+        attn = rng.standard_normal((rows, K))
+        out, _ = attention(Tensor(hw), Tensor(attn), idx, kind)
+        for k in range(K):
+            cols = slice(k * d, (k + 1) * d)
+            alpha = loop_edge_softmax(*head_scores(hw[:, cols], attn[:, k], kind), idx, kind)
+            want = dense_matrix(alpha[:, None], idx) @ hw[:, cols]
+            np.testing.assert_allclose(out.values[:, cols], want, atol=1e-12)
 
 
-def test_spmm_backward_matches_dense_product():
+def dense_attention_grads(hw, attn, idx, kind, g, g_score):
+    """hw's and attn's gradients of sum(out * g) + sum(score * g_score),
+    out keeping the heads side by side, derived head by head with dense
+    matrices and plain loops."""
+    n, K = idx.num_nodes, attn.shape[1]
+    d = hw.shape[1] // K
+    g_hw, g_attn = np.zeros_like(hw), np.zeros_like(attn)
+    for k in range(K):
+        cols = slice(k * d, (k + 1) * d)
+        hk, gk = hw[:, cols], g[:, cols]
+        left, right = head_scores(hk, attn[:, k], kind)
+        alpha = loop_edge_softmax(left, right, idx, kind)
+        g_hw[:, cols] += dense_matrix(alpha[:, None], idx).T @ gk
+        g_alpha = (gk @ hk.T)[idx.targets, idx.sources]  # d loss / d A[t, s]
+        g_logit = np.empty_like(alpha)
+        for i in range(n):
+            sl = slice(idx.offsets[i], idx.offsets[i + 1])
+            g_logit[sl] = alpha[sl] * (g_alpha[sl] - (alpha[sl] * g_alpha[sl]).sum())
+        g_left, g_right = np.zeros(n), np.zeros(n)
+        for e, (t, s) in enumerate(zip(idx.targets, idx.sources)):
+            if kind == "agree":
+                step = -g_logit[e] * np.sign(left[t] - right[s])
+                g_left[t] += step
+                g_right[s] -= step
+            else:
+                step = g_logit[e] * (1.0 if left[t] + right[s] > 0 else 0.2)
+                g_left[t] += step
+                g_right[s] += step
+        if kind == "agree":
+            g_p = (g_left + g_right + g_score[:, 0] / K) * left * (1.0 - left)
+            g_hw[:, cols] += np.outer(g_p, attn[:, k])
+            g_attn[:, k] = hk.T @ g_p
+        else:
+            g_hw[:, cols] += np.outer(g_left, attn[:d, k]) + np.outer(g_right, attn[d:, k])
+            g_attn[:d, k], g_attn[d:, k] = hk.T @ g_left, hk.T @ g_right
+    return g_hw, g_attn
+
+
+@pytest.mark.parametrize("average", [False, True])
+@pytest.mark.parametrize("kind", ["agree", "leaky"])
+def test_attention_backward_matches_the_dense_derivation(kind, average):
     rng = np.random.default_rng(12)
-    idx = build_segment_index(rng.integers(0, 7, 15), rng.integers(0, 7, 15), 7)
-    wts = leaf(rng.standard_normal((idx.num_entries, 1)))
-    h = leaf(rng.standard_normal((7, 3)))
-    g = rng.standard_normal((7, 3))
+    n, K, d = 7, 2, 3
+    idx = build_segment_index(rng.integers(0, n, 15), rng.integers(0, n, 15), n)
+    hw = leaf(rng.standard_normal((n, K * d)))
+    attn = leaf(rng.standard_normal((d if kind == "agree" else 2 * d, K)))
+    g = rng.standard_normal((n, d if average else K * d))
+    g_score = rng.standard_normal((n, 1))
     with GradTape():
-        grads = backward(reduce_sum(mul(spmm(wts, h, idx), g)))
-    A = dense_matrix(wts.values, idx)
-    np.testing.assert_allclose(grads[h], A.T @ g, atol=1e-12)
-    dA = g @ h.values.T  # d loss / d A[t, s]
-    np.testing.assert_allclose(grads[wts][:, 0], dA[idx.targets, idx.sources], atol=1e-12)
+        out, score = attention(hw, attn, idx, kind, average)
+        loss = reduce_sum(mul(out, g))
+        if score is not None:
+            loss = add(loss, reduce_sum(mul(score, g_score)))
+        grads = backward(loss)
+    # the head mean passes g / K to every head's block
+    g_heads = np.tile(g, K) / K if average else g
+    want_hw, want_attn = dense_attention_grads(hw.values, attn.values, idx, kind, g_heads,
+                                               g_score)
+    np.testing.assert_allclose(grads[hw], want_hw, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(grads[attn], want_attn, rtol=1e-10, atol=1e-12)
 
 
-def dense_head_matrices(weights, index):
-    return [dense_matrix(weights[:, k:k + 1], index) for k in range(weights.shape[1])]
-
-
-def test_spmm_heads_sharing_an_index_keep_their_own_weights():
-    # two products on one index (and two on one drop-edge index) are
+def test_attention_calls_sharing_an_index_keep_their_own_weights():
+    # two calls on one index (and two on one drop-edge index) are
     # recorded before a single backward; each must see its own weights
-    # in the forward and again in the backward
+    # in the forward and again in the backward, as it does on its own
     from oodgat.layers import drop_edge
 
     rng = np.random.default_rng(14)
     n, K, d = 9, 2, 3
     full = build_segment_index(rng.integers(0, n, 30), rng.integers(0, n, 30), n)
     dropped = drop_edge(full, 0.5, np.random.default_rng(3))
-    products = []
-    for idx in (full, full, dropped, dropped):
-        products.append((idx, leaf(rng.standard_normal((idx.num_entries, K))),
-                         leaf(rng.standard_normal((n, K * d))), rng.standard_normal((n, K * d))))
+    calls = []
+    for idx, kind in ((full, "agree"), (full, "leaky"), (dropped, "agree"), (dropped, "leaky")):
+        rows = d if kind == "agree" else 2 * d
+        calls.append((idx, kind, leaf(rng.standard_normal((n, K * d))),
+                      leaf(rng.standard_normal((rows, K))), rng.standard_normal((n, K * d))))
+
+    def loss_of(idx, kind, hw, attn, g):
+        out, _ = attention(hw, attn, idx, kind)
+        return out.values, reduce_sum(mul(out, g))
+
     with GradTape():
-        outs = [spmm(w, h, idx) for idx, w, h, _ in products]
-        loss = reduce_sum(mul(outs[0], products[0][3]))
-        for out, (_, _, _, g) in zip(outs[1:], products[1:]):
-            loss = add(loss, reduce_sum(mul(out, g)))
+        outs, losses = zip(*(loss_of(*call) for call in calls))
+        loss = losses[0]
+        for term in losses[1:]:
+            loss = add(loss, term)
         grads = backward(loss)
-    for out, (idx, w, h, g) in zip(outs, products):
-        for k, A in enumerate(dense_head_matrices(w.values, idx)):
-            cols = slice(k * d, (k + 1) * d)
-            np.testing.assert_allclose(out.values[:, cols], A @ h.values[:, cols], atol=1e-12)
-            np.testing.assert_allclose(grads[h][:, cols], A.T @ g[:, cols], atol=1e-12)
-            dA = g[:, cols] @ h.values[:, cols].T
-            np.testing.assert_allclose(grads[w][:, k], dA[idx.targets, idx.sources],
-                                       atol=1e-12)
+    for out, call in zip(outs, calls):
+        with GradTape():
+            alone, alone_loss = loss_of(*call)
+            alone_grads = backward(alone_loss)
+        assert np.array_equal(out, alone)
+        for t in call[2:4]:
+            assert np.array_equal(grads[t], alone_grads[t])
 
 
-def test_spmm_heads_equal_single_head_products_bit_for_bit():
+def test_attention_heads_equal_single_head_calls():
     rng = np.random.default_rng(15)
     for trial in range(30):
         n = int(rng.integers(1, 15))
         m = int(rng.integers(0, 4 * n))
         idx = build_segment_index(rng.integers(0, n, m), rng.integers(0, n, m), n)
         K, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        w = leaf(rng.standard_normal((idx.num_entries, K)))
-        h = leaf(rng.standard_normal((n, K * d)))
+        kind = ("agree", "leaky")[trial % 2]
+        rows = d if kind == "agree" else 2 * d
+        hw = leaf(rng.standard_normal((n, K * d)))
+        attn = leaf(rng.standard_normal((rows, K)))
         g = rng.standard_normal((n, K * d))
         with GradTape():
-            out = spmm(w, h, idx)
+            out, _ = attention(hw, attn, idx, kind)
             grads = backward(reduce_sum(mul(out, g)))
         for k in range(K):
             cols = slice(k * d, (k + 1) * d)
-            wk, hk = leaf(w.values[:, k:k + 1].copy()), leaf(h.values[:, cols].copy())
+            hk, ak = leaf(hw.values[:, cols].copy()), leaf(attn.values[:, k:k + 1].copy())
             with GradTape():
-                out_k = spmm(wk, hk, idx)
+                out_k, _ = attention(hk, ak, idx, kind)
                 grads_k = backward(reduce_sum(mul(out_k, g[:, cols].copy())))
-            assert np.array_equal(out.values[:, cols], out_k.values)
-            assert np.array_equal(grads[w][:, k], grads_k[wk][:, 0])
-            assert np.array_equal(grads[h][:, cols], grads_k[hk])
+            # a head's projection sums in another order when it runs alone
+            np.testing.assert_allclose(out.values[:, cols], out_k.values, atol=1e-12)
+            np.testing.assert_allclose(grads[hw][:, cols], grads_k[hk], atol=1e-12)
+            np.testing.assert_allclose(grads[attn][:, k], grads_k[ak][:, 0], atol=1e-12)
 
 
 def test_head_blocks_are_built_once_and_share_data():
@@ -475,59 +555,79 @@ def test_head_blocks_are_built_once_and_share_data():
     assert A.shape == (9, 9) and len(take) == 3 * idx.num_entries
 
 
-def test_segment_softmax_columns_are_independent():
+def test_attention_columns_are_independent():
     rng = np.random.default_rng(16)
     idx = build_segment_index(rng.integers(0, 7, 20), rng.integers(0, 7, 20), 7)
     left, right = rng.standard_normal((7, 3)) * 4, rng.standard_normal((7, 3)) * 4
-    for kind in ("agree", "leaky"):
-        got = edge_softmax(Tensor(left), Tensor(right), idx, kind).values
-        for k in range(3):
-            np.testing.assert_allclose(
-                got[:, k], loop_edge_softmax(left[:, k], right[:, k], idx, kind), atol=1e-12)
+    scores = 1.0 / (1.0 + np.exp(-left))
+    for kind, attn, lt, rt in (("agree", left, scores, scores),
+                               ("leaky", np.vstack([left, right]), left, right)):
+        for k, got in enumerate(attention_matrices(attn, idx, kind)):
+            want = loop_edge_softmax(lt[:, k], rt[:, k], idx, kind)
+            np.testing.assert_allclose(got, dense_matrix(want[:, None], idx), atol=1e-12)
 
 
-def test_head_project_matches_loop():
+def test_attention_mean_score_is_the_head_mean_of_the_node_scores():
     rng = np.random.default_rng(17)
-    h = rng.standard_normal((6, 3 * 4))
-    a = rng.standard_normal((4, 3))
-    proj = engine.head_project(Tensor(h), Tensor(a)).values
-    for k in range(3):
-        np.testing.assert_allclose(proj[:, k], h[:, 4 * k:4 * (k + 1)] @ a[:, k], atol=1e-12)
-    with pytest.raises(EngineError, match="head_project"):
-        engine.head_project(Tensor(h), Tensor(np.ones((5, 3))))
-
-
-def test_spmm_rejects_mismatched_operands():
     idx = small_index()
-    with pytest.raises(EngineError, match="spmm"):
-        spmm(Tensor(np.ones((5, 1))), Tensor(np.ones((3, 2))), idx)
-    with pytest.raises(EngineError, match="spmm"):
-        spmm(Tensor(np.ones((6, 1))), Tensor(np.ones((4, 2))), idx)
+    h = rng.standard_normal((3, 3 * 4))
+    a = rng.standard_normal((4, 3))
+    _, score = attention(Tensor(h), Tensor(a), idx, "agree")
+    want = np.mean([head_scores(h[:, 4 * k:4 * (k + 1)], a[:, k], "agree")[0]
+                    for k in range(3)], axis=0)
+    np.testing.assert_allclose(score.values[:, 0], want, atol=1e-12)
+    assert attention(Tensor(h), Tensor(np.vstack([a, a])), idx, "leaky")[1] is None
 
 
-def test_edge_softmax_and_log_sum_scatters_match_add_at():
+def test_attention_rejects_operands_that_do_not_match_the_index():
+    idx = small_index()
+    with pytest.raises(EngineError, match="attention"):
+        attention(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 1))), idx, "agree")
+    with pytest.raises(EngineError, match="attention"):
+        attention(Tensor(np.ones((2, 2))), Tensor(np.ones((4, 1))), idx, "leaky")
+
+
+def test_attention_and_log_sum_scatters_match_add_at():
     # repeated (target, source) pairs and repeated rows and entries: each
-    # backward scatter adds in entry order, as np.add.at does
+    # backward scatter adds in entry order, as np.add.at does. Over
+    # identity features the projections are attn's rows and the weight
+    # gradients the output weights' entries, both exactly, so attn's
+    # gradient is the scattered logit gradient (agree: through the sigmoid)
     rng = np.random.default_rng(13)
     src, dst = np.array([1, 1, 2, 3, 3, 0, 4]), np.array([0, 0, 0, 2, 2, 4, 1])
     idx = build_segment_index(src, dst, 5)
-    starts = idx.offsets[:-1]
-    g = rng.standard_normal((idx.num_entries, 2))
-    left, right = leaf(rng.standard_normal((5, 2))), leaf(rng.standard_normal((5, 2)))
+    n, K = 5, 2
+    t, s, starts = idx.targets, idx.sources, idx.offsets[:-1]
+    g = rng.standard_normal((n, K * n))
+    g_alpha = np.stack([g[:, k * n:(k + 1) * n][t, s] for k in range(K)], axis=1)
     for kind in ("agree", "leaky"):
+        attn = leaf(rng.standard_normal((n if kind == "agree" else 2 * n, K)))
         with GradTape():
-            y = edge_softmax(left, right, idx, kind)
-            grads = backward(reduce_sum(mul(y, g)))
-        g_logit = y.values * (g - np.add.reduceat(g * y.values, starts, axis=0)[idx.targets])
-        lt, rs = left.values[idx.targets], right.values[idx.sources]
+            out, _ = attention(Tensor(np.tile(np.eye(n), K)), attn, idx, kind)
+            grads = backward(reduce_sum(mul(out, g)))
+        # the forward's softmax, as the op computes it
         if kind == "agree":
-            g_left, g_right = -g_logit * np.sign(lt - rs), g_logit * np.sign(lt - rs)
+            w = sigmoid(Tensor(attn.values)).values
+            diff = w[t] - w[s]
+            z = np.exp((1.0 - np.abs(diff)) - 1.0)
         else:
-            g_left = g_right = g_logit * np.where(lt + rs > 0, 1.0, 0.2)
-        for x, by, gx in ((left, idx.targets, g_left), (right, idx.sources, g_right)):
-            want = np.zeros((5, 2))
-            np.add.at(want, by, gx)
-            np.testing.assert_array_equal(grads[x], want)
+            raw = attn.values[:n][t] + attn.values[n:][s]
+            e = np.where(raw > 0, raw, 0.2 * raw)
+            z = np.exp(e - np.maximum.reduceat(e, starts, axis=0)[t])
+        y = z / np.add.reduceat(z, starts, axis=0)[t]
+        g_logit = y * (g_alpha - np.add.reduceat(g_alpha * y, starts, axis=0)[t])
+        if kind == "agree":
+            g_left = -g_logit * np.sign(diff)
+            g_right = -g_left
+        else:
+            g_left = g_right = g_logit * np.where(raw > 0, 1.0, 0.2)
+        want_t, want_s = np.zeros((n, K)), np.zeros((n, K))
+        np.add.at(want_t, t, g_left)
+        np.add.at(want_s, s, g_right)
+        if kind == "agree":
+            np.testing.assert_array_equal(grads[attn], (want_t + want_s) * w * (1.0 - w))
+        else:
+            np.testing.assert_array_equal(grads[attn], np.vstack([want_t, want_s]))
 
     x = leaf(rng.uniform(0.5, 2.0, (5, 3)))
     rows = np.array([4, 0, 4, 4, 2, 0])
@@ -756,8 +856,6 @@ def test_gradcheck_structural_ops():
     x = leaf(rng.standard_normal((5, 3)))
     z = leaf(rng.standard_normal((5, 2)))
     params = {"x": x, "z": z}
-    check(lambda: reduce_sum(slice_rows(x, 1, 4)), params)
-    check(lambda: reduce_sum(mul(slice_rows(x, 1, 4), slice_rows(x, 0, 3))), params)
     # repeated rows add their gradients
     rows = np.array([4, 0, 4, 2])
     check(lambda: reduce_sum(mul(take_rows(x, rows), np.arange(12.0).reshape(4, 3))), params)
@@ -765,45 +863,47 @@ def test_gradcheck_structural_ops():
                                     matmul(z, np.array([[0.0], [1.0]]))), params)
 
 
-def test_gradcheck_segment_ops():
+def test_gradcheck_attention():
     rng = np.random.default_rng(46)
     idx = build_segment_index(rng.integers(0, 6, 12), rng.integers(0, 6, 12), 6)
-    left = leaf(rng.standard_normal((6, 1)))
-    vals = leaf(rng.standard_normal((6, 3)))
-    wts = leaf(rng.uniform(0.1, 1.0, (idx.num_entries, 1)))
-    right = leaf(rng.standard_normal((6, 1)))
-    params = {"left": left, "right": right, "vals": vals, "wts": wts}
+    hw = leaf(rng.standard_normal((6, 2 * 3)))
+    score_mixer = rng.standard_normal((6, 1))
+    for kind, rows in (("agree", 3), ("leaky", 6)):
+        attn = leaf(rng.standard_normal((rows, 2)))
+        for average in (False, True):
+            mixer = rng.standard_normal((6, 3 if average else 6))  # weighs outputs unevenly
 
-    mixer = rng.standard_normal((6, 3))  # weighs output rows unevenly
-    entry_weights = Tensor(np.arange(idx.num_entries, dtype=float)[:, None])
-    for kind in ("agree", "leaky"):
-        check(lambda: reduce_sum(mul(edge_softmax(left, right, idx, kind), entry_weights)),
-              params, tol=1e-4)
-    check(lambda: reduce_sum(mul(edge_softmax(left, left, idx, "agree"), entry_weights)),
-          params, tol=1e-4)
-    check(lambda: reduce_sum(mul(spmm(wts, vals, idx), mixer)), params)
-    check(lambda: reduce_sum(mul(spmm(edge_softmax(left, right, idx, "leaky"), vals, idx),
-                                 mixer)), params, tol=1e-4)
+            def build():
+                out, score = attention(hw, attn, idx, kind, average)
+                loss = reduce_sum(mul(out, mixer))
+                return loss if score is None else add(loss, reduce_sum(mul(score, score_mixer)))
+
+            check(build, {"hw": hw, "attn": attn}, tol=1e-4)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-def test_spmm_weight_gradient_matches_the_per_head_loop(heads):
+def test_attention_gradients_do_not_depend_on_the_sddmm_chunk(heads, monkeypatch):
     rng = np.random.default_rng(heads)
     n, d = 300, 3
     idx = build_segment_index(rng.integers(0, n, 2600), rng.integers(0, n, 2600), n)
     # more than one chunk of entries, the last one partial
     assert idx.num_entries > engine._SDDMM_CHUNK and idx.num_entries % engine._SDDMM_CHUNK
-    w = leaf(rng.random((idx.num_entries, heads)))
-    h = leaf(rng.standard_normal((n, heads * d)))
+    hw = leaf(rng.standard_normal((n, heads * d)))
     g = rng.standard_normal((n, heads * d))
-    with GradTape():
-        grads = backward(reduce_sum(mul(spmm(w, h, idx), g)))
-    expected = np.empty((idx.num_entries, heads))
-    for k in range(heads):
-        cols = slice(k * d, (k + 1) * d)
-        expected[:, k] = np.einsum("ej,ej->e", np.take(g[:, cols], idx.targets, axis=0),
-                                   np.take(h.values[:, cols], idx.sources, axis=0))
-    assert np.array_equal(grads[w], expected)
+    operands = [("agree", leaf(rng.standard_normal((d, heads)))),
+                ("leaky", leaf(rng.standard_normal((2 * d, heads))))]
+    results = []
+    # the default chunk, every entry at once, and a small chunk
+    for chunk in (engine._SDDMM_CHUNK, idx.num_entries + 1, 7):
+        monkeypatch.setattr(engine, "_SDDMM_CHUNK", chunk)
+        for kind, attn in operands:
+            with GradTape():
+                out, _ = attention(hw, attn, idx, kind)
+                grads = backward(reduce_sum(mul(out, g)))
+            results.append((grads[hw], grads[attn]))
+    for i, (g_hw, g_attn) in enumerate(results[2:]):
+        want_hw, want_attn = results[i % 2]
+        assert np.array_equal(g_hw, want_hw) and np.array_equal(g_attn, want_attn)
 
 
 def test_gradcheck_dropout_with_fixed_mask():

@@ -158,6 +158,14 @@ def test_parse_spec_errors(tmp_path):
     with pytest.raises(ConfigError, match="unknown experiment"):
         parse_spec(bad)
 
+    # the commands that read no spec are no spec's experiment
+    demo = (ROOT / "specs" / "sbm-demo.spec").read_text(encoding="utf-8")
+    for name in ("gradcheck", "homophily-check"):
+        bad.write_text(demo.replace("name = train-eval", f"name = {name}"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown experiment '{name}'") as exc:
+            parse_spec(bad)
+        assert "gradcheck" not in str(exc.value).split("valid:")[1]
+
     with pytest.raises(ConfigError, match="was requested"):
         parse_spec(write_spec(tmp_path), expected_name="gridsearch")
 

@@ -18,15 +18,12 @@ from oodgat.graphs import make_graph
 from oodgat.layers import (
     ModelConfig,
     _input_dropout,
-    attention_layer,
     clone_params,
     drop_edge,
-    gat_edge_attention,
     gcn_layer,
     graph_index,
     init_params,
     model_forward,
-    oodgat_edge_attention,
     restore_params,
 )
 from oodgat.training import TrainConfig
@@ -47,6 +44,22 @@ def group_slices(index):
         yield i, slice(index.offsets[i], index.offsets[i + 1])
 
 
+def attention_layer(h, index, W, attn, kind, average=False):
+    """The attention architectures' layer: the product h W, then the op."""
+    return engine.attention(engine.matmul(h, W), attn, index, kind, average)
+
+
+def agreement_attention(scores, index):
+    """(E, 1) attention of the OOD-aware layer for node scores in (0, 1),
+    from one head over identity features: its scorer a = logit(scores)
+    gives the scores back, and its output A @ I is the attention matrix
+    (the indices here hold no repeated entry)."""
+    n = index.num_nodes
+    a = np.log(scores) - np.log1p(-scores)
+    out, _ = engine.attention(Tensor(np.eye(n)), Tensor(a), index, "agree")
+    return out.values[index.targets, index.sources][:, None]
+
+
 # ---------------------------------------------------------------------------
 # attention from OOD scores
 
@@ -54,8 +67,7 @@ def group_slices(index):
 def test_attention_equal_scores_uniform():
     g = toy_graph()
     idx = graph_index(g)
-    scores = Tensor(np.full((g.num_nodes, 1), 0.37))
-    alpha = engine.edge_softmax(scores, scores, idx, "agree").values
+    alpha = agreement_attention(np.full((g.num_nodes, 1), 0.37), idx)
     for i, sl in group_slices(idx):
         np.testing.assert_allclose(alpha[sl, 0], 1.0 / (sl.stop - sl.start), atol=1e-12)
 
@@ -64,25 +76,26 @@ def test_attention_raw_agreement_values():
     # two nodes, one edge: scores 0.7 and 0.2 give e = 0.5 on the cross
     # entries and e = 1 on self entries
     idx = build_segment_index(np.array([0, 1]), np.array([1, 0]), 2)
-    scores = Tensor(np.array([[0.7], [0.2]]))
-    w_t = scores.values[idx.targets, 0]
-    w_s = scores.values[idx.sources, 0]
+    scores = np.array([[0.7], [0.2]])
+    w_t = scores[idx.targets, 0]
+    w_s = scores[idx.sources, 0]
     e = 1 - np.abs(w_t - w_s)
     np.testing.assert_allclose(np.sort(e), [0.5, 0.5, 1.0, 1.0])
-    alpha = engine.edge_softmax(scores, scores, idx, "agree").values
+    alpha = agreement_attention(scores, idx)
     for i, sl in group_slices(idx):
         assert alpha[sl].sum() == pytest.approx(1.0)
 
 
 def test_attention_separates_clean_clusters():
-    # scores 0 on one side, 1 on the other: pre-softmax e is 1 within a
-    # cluster and 0 across, so cross-edge attention is strictly smaller
+    # scores near 0 on one side, near 1 on the other: pre-softmax e is 1
+    # within a cluster and near 0 across, so cross-edge attention is
+    # strictly smaller
     g = make_graph(4, [(0, 1), (2, 3), (1, 2)], np.zeros((4, 2)),
                    [0, 0, 1, 1], [0, 0, 1, 1])
     idx = graph_index(g)
-    scores = Tensor(np.array([[0.0], [0.0], [1.0], [1.0]]))
-    alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
-    intra = (scores.values[idx.targets, 0] == scores.values[idx.sources, 0])
+    scores = np.array([[1e-9], [1e-9], [1 - 1e-9], [1 - 1e-9]])
+    alpha = agreement_attention(scores, idx)[:, 0]
+    intra = (scores[idx.targets, 0] == scores[idx.sources, 0])
     # node 1's group holds both kinds; its cross entry must get less mass
     sl = slice(idx.offsets[1], idx.offsets[2])
     cross_mass = alpha[sl][~intra[sl]]
@@ -94,8 +107,7 @@ def test_attention_self_entry_dominates_group():
     rng = np.random.default_rng(7)
     g = toy_graph(n=10, seed=3)
     idx = graph_index(g)
-    scores = Tensor(rng.random((10, 1)))
-    alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
+    alpha = agreement_attention(rng.random((10, 1)), idx)[:, 0]
     for i, sl in group_slices(idx):
         self_alpha = alpha[sl][idx.sources[sl] == i]
         assert np.all(self_alpha >= alpha[sl] - 1e-12)
@@ -106,9 +118,8 @@ def test_attention_score_flip_invariance():
     g = toy_graph(n=8, seed=5)
     idx = graph_index(g)
     w = rng.random((8, 1))
-    same, flipped = Tensor(w), Tensor(1.0 - w)
-    a = engine.edge_softmax(same, same, idx, "agree").values
-    b = engine.edge_softmax(flipped, flipped, idx, "agree").values
+    a = agreement_attention(w, idx)
+    b = agreement_attention(1.0 - w, idx)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -117,8 +128,7 @@ def test_attention_group_sums_to_one():
     for seed in range(5):
         g = toy_graph(n=12, seed=seed)
         idx = graph_index(g)
-        scores = Tensor(rng.random((12, 1)))
-        alpha = engine.edge_softmax(scores, scores, idx, "agree").values[:, 0]
+        alpha = agreement_attention(rng.random((12, 1)), idx)[:, 0]
         sums = np.add.reduceat(alpha, idx.offsets[:-1])
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -216,7 +226,7 @@ def check_gat_layer_against_dense_oracle(K):
     h = rng.standard_normal((5, 4))
     W = Tensor(rng.standard_normal((4, 3 * K)))
     attn = Tensor(rng.standard_normal((6, K)))
-    out, score = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention)
+    out, score = attention_layer(Tensor(h), idx, W, attn, "leaky")
     got = engine.elu(out)
     assert score is None
 
@@ -245,7 +255,7 @@ def test_gat_identical_features_uniform_attention():
     rng = np.random.default_rng(0)
     W = Tensor(rng.standard_normal((2, 2)))
     attn = Tensor(rng.standard_normal((4, 1)))
-    out, _ = attention_layer(Tensor(h), idx, W, attn, gat_edge_attention)
+    out, _ = attention_layer(Tensor(h), idx, W, attn, "leaky")
     # all nodes identical: aggregation result equals hw rows themselves
     hw = h @ W.values
     np.testing.assert_allclose(engine.elu(out).values, np.where(hw > 0, hw, np.expm1(hw)),
@@ -265,7 +275,7 @@ def check_oodgat_prediction_layer_against_dense_oracle(K):
     h = rng.standard_normal((n, d))
     W = Tensor(rng.standard_normal((d, C * K)), requires_grad=True)
     a = Tensor(rng.standard_normal((C, K)), requires_grad=True)
-    out, mean_score = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention, average=True)
+    out, mean_score = attention_layer(Tensor(h), idx, W, a, "agree", average=True)
     hidden = engine.row_softmax(out)
 
     A = dense_adjacency(idx, n) > 0
@@ -295,7 +305,7 @@ def test_oodgat_isolated_node_is_plain_transform():
         h = rng.standard_normal((1, 4))
         W = Tensor(rng.standard_normal((4, 3 * K)))
         a = Tensor(rng.standard_normal((3, K)))
-        out, _ = attention_layer(Tensor(h), idx, W, a, oodgat_edge_attention)
+        out, _ = attention_layer(Tensor(h), idx, W, a, "agree")
         want = h @ W.values
         want = np.where(want > 0, want, np.expm1(want))
         np.testing.assert_allclose(engine.elu(out).values, want, atol=1e-12)
@@ -308,17 +318,17 @@ def test_oodgat_duplicate_heads_duplicate_output():
     idx = graph_index(g)
     h = Tensor(rng.standard_normal((7, 4)))
     W = rng.standard_normal((4, 3))
-    models = ((oodgat_edge_attention, 3), (gat_edge_attention, 6))
-    for (edge_attention, rows), average in itertools.product(models, (False, True)):
+    models = (("agree", 3), ("leaky", 6))
+    for (kind, rows), average in itertools.product(models, (False, True)):
         a = rng.standard_normal((rows, 1))
-        single, single_score = attention_layer(h, idx, Tensor(W), Tensor(a), edge_attention,
+        single, single_score = attention_layer(h, idx, Tensor(W), Tensor(a), kind,
                                                average=average)
         double, double_score = attention_layer(h, idx, Tensor(np.hstack([W, W])),
-                                               Tensor(np.hstack([a, a])), edge_attention,
+                                               Tensor(np.hstack([a, a])), kind,
                                                average=average)
         want = single.values if average else np.hstack([single.values] * 2)
         np.testing.assert_allclose(double.values, want, atol=1e-12)
-        if edge_attention is oodgat_edge_attention:
+        if kind == "agree":
             np.testing.assert_allclose(double_score.values, single_score.values, atol=1e-12)
 
 

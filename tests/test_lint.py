@@ -1,8 +1,9 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and eight guards
+"""Unused-import lint over src/, tests/ and perfbench/, and nine guards
 on src/: every public engine function is used, no sparse matrix is made
 dense outside the places that must, only the engine builds a
-message-passing index, bundle text has one parser, detection scores are
-sorted in one place, the prediction softmax is applied only by
+message-passing index, only `engine.attention` writes the index's
+per-head block patterns, bundle text has one parser, detection scores
+are sorted in one place, the prediction softmax is applied only by
 `model_forward` (`test_prediction_softmax_is_applied_once`), output files
 have one writer each, and one function starts the process pool.
 
@@ -91,11 +92,11 @@ def public_engine_functions() -> set[str]:
 
 
 def test_engine_references_skip_the_own_check_line():
-    source = ("from .engine import spmm\n"
+    source = ("from .engine import attention\n"
               "check('add', lambda: engine.add(a, engine.mul(a, b)))\n"
               "check('sub_heads', lambda: engine.sub(a, b))\n"
-              "check('spmm', lambda: spmm(w, h, index))\n")
-    assert engine_references(source, {"add", "mul", "sub", "spmm"}) == {"mul"}
+              "check('attention', lambda: attention(hw, a, index, 'agree'))\n")
+    assert engine_references(source, {"add", "mul", "sub", "attention"}) == {"mul"}
 
 
 def test_every_engine_function_is_used_by_the_program():
@@ -161,6 +162,16 @@ INDEX_BUILDERS = {"oodgat/engine.py": {"build_segment_index", "select"}}
 
 def test_segment_index_is_built_only_in_the_engine():
     assert calls_outside(INDEX_BUILDERS, {"SegmentIndex"}) == []
+
+
+# The per-head block patterns of an index share one `data` buffer per head
+# count, which a product fills with its weights right before it runs. One
+# op reading them keeps that buffer's writers in one place.
+BLOCK_READERS = {"oodgat/engine.py": {"attention"}}
+
+
+def test_head_blocks_are_read_only_by_the_attention_op():
+    assert calls_outside(BLOCK_READERS, {"head_blocks"}) == []
 
 
 # Bundle text has one parser: numpy reads every table in `_table`, and only

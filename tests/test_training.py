@@ -246,7 +246,7 @@ def test_step_records_are_one_based_and_contiguous(sbm_case):
     assert [s.step for s in history.steps] == list(range(1, 8))
 
 
-@pytest.mark.parametrize("arch,nodes", [("oodgat", [27, 28]), ("gat", [19, 19])])
+@pytest.mark.parametrize("arch,nodes", [("oodgat", [18, 19]), ("gat", [8, 8])])
 def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
     # the quick-start spec, two steps: oodgat with all three regularizers
     # (at step 1 every score is 0.5, so the entropy term selects no node
