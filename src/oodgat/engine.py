@@ -15,6 +15,17 @@ Fused ops stand for chains of elementwise ops as one tape node each,
 with a hand-written backward: the objective terms, and `attention`, a
 whole attention layer after its product h W, which returns two outputs
 (the layer output and the mean node score) from its one node.
+
+The tape keeps only what backward reads. A node holds the keys of its
+outputs, a name for each input and its backward closure, never an
+output Tensor. Each output gets its own key, numbered per tape (so
+`attention`'s two outputs have two); an input made on the same tape is
+named by its key, a leaf (a requires_grad Tensor that no op of this tape
+made, such as a parameter or an earlier tape's output) by its Tensor, and
+a constant by None. So an output that no closure captured is freed as
+soon as the caller drops it, while the tape is still recording.
+`backward` removes each node from the tape as it runs it, which frees
+the arrays only that node's closure held before the next node runs.
 """
 
 from __future__ import annotations
@@ -48,10 +59,10 @@ class Tensor:
     """A 2-D float64 matrix tracked by the engine.
 
     `tape_id` is the position of the producing op on the recording tape,
-    None for leaves.
+    None for leaves. `_key` names the Tensor among its tape's outputs.
     """
 
-    __slots__ = ("values", "requires_grad", "tape_id", "_tape")
+    __slots__ = ("values", "requires_grad", "tape_id", "_key", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -60,6 +71,7 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.tape_id: int | None = None
+        self._key: int | None = None
         self._tape: GradTape | None = None
 
     @property
@@ -75,7 +87,10 @@ class GradTape:
     """Records ops for one forward pass. Context manager, one per thread."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple, Callable]] = []
+        # per recorded op, in forward order: its output key (a tuple of keys
+        # for several outputs), its input names and its backward closure
+        self._nodes: list[tuple[int | tuple[int, ...], tuple, Callable]] = []
+        self._keys = 0  # output keys handed out so far
         self._used = False
 
     def __enter__(self) -> "GradTape":
@@ -94,7 +109,7 @@ def _record(out: Tensor | tuple[Tensor, ...], inputs: tuple, bwd: Callable):
 
     `out` may be a tuple of outputs that share one node and its `tape_id`;
     `bwd` then takes a tuple of their gradients, None for an output the
-    loss does not reach.
+    loss does not reach. The node keeps each output's key, not the output.
     """
     tape = _active_tape()
     if tape is None:
@@ -104,11 +119,15 @@ def _record(out: Tensor | tuple[Tensor, ...], inputs: tuple, bwd: Callable):
             break
     else:
         return
+    names = tuple([None if type(t) is not Tensor or not t.requires_grad
+                   else t._key if t._tape is tape else t for t in inputs])
+    tape_id, key = len(tape._nodes), tape._keys
     for o in out if type(out) is tuple else (out,):
-        o.requires_grad = True
-        o.tape_id = len(tape._nodes)
-        o._tape = tape
-    tape._nodes.append((out, inputs, bwd))
+        o.requires_grad, o.tape_id, o._key, o._tape = True, tape_id, key, tape
+        key += 1
+    keys = tuple(range(tape._keys, key)) if type(out) is tuple else tape._keys
+    tape._keys = key
+    tape._nodes.append((keys, names, bwd))
 
 
 def _values(x, allow_sparse: bool = False):
@@ -151,8 +170,8 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
         raise EngineError("this tape has already been consumed by backward")
     tape._used = True
 
-    grads: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    leaves: dict[int, Tensor] = {}
+    grads: dict[int, Array] = {loss._key: np.ones((1, 1))}  # by output key
+    leaf_grads: dict[Tensor, Array] = {}
 
     # Nodes were appended in forward order, so a single reverse sweep sees
     # every output before any of its producers. Accumulation order across
@@ -160,23 +179,29 @@ def backward(loss: Tensor) -> dict[Tensor, Array]:
     # Recorded outputs point back at the tape; taking its node list breaks
     # that cycle, so reference counting frees the step once callers let go.
     nodes, tape._nodes = tape._nodes, []
-    for out, inputs, bwd in reversed(nodes):
-        if type(out) is tuple:
-            g = tuple(grads.pop(id(o), None) for o in out)
-            g = None if all(gi is None for gi in g) else g
-        else:
-            g = grads.pop(id(out), None)
-        if g is None:
-            continue  # not on any path to the loss
-        for t, gi in zip(inputs, bwd(g)):
-            if gi is None or type(t) is not Tensor or not t.requires_grad:
-                continue
-            prev = grads.get(id(t))
-            grads[id(t)] = gi if prev is None else prev + gi
-            if t._tape is not tape:
-                leaves[id(t)] = t
-    # a leaf's gradient is never popped: only the tape's outputs are
-    return {t: grads[tid] for tid, t in leaves.items()}
+    while nodes:
+        _run_node(nodes.pop(), grads, leaf_grads)
+    return leaf_grads
+
+
+def _run_node(node: tuple, grads: dict[int, Array], leaf_grads: dict[Tensor, Array]):
+    """Pass the gradients of one popped node's outputs to its inputs. On
+    return the node, its closure and the output gradients it consumed are
+    dropped, before the sweep runs the next node."""
+    keys, names, bwd = node
+    if type(keys) is tuple:
+        g = tuple(grads.pop(k, None) for k in keys)
+        g = None if all(gi is None for gi in g) else g
+    else:
+        g = grads.pop(keys, None)
+    if g is None:
+        return  # not on any path to the loss
+    for name, gi in zip(names, bwd(g)):
+        if gi is None or name is None:
+            continue
+        acc = grads if type(name) is int else leaf_grads
+        prev = acc.get(name)
+        acc[name] = gi if prev is None else prev + gi
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +543,14 @@ class SegmentIndex:
         renumbered to positions in `nodes`, which must hold them all."""
         if nodes is not None:
             keep = keep & np.isin(self.targets, nodes)
-        kept = np.zeros(self.num_entries + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
+        # positions and take, not a boolean mask: a mask indexes far slower;
+        # the entries kept before position j are the positions below j
+        kept = np.flatnonzero(keep)
+        sources = np.take(self.sources, kept)
         if nodes is None:
-            return SegmentIndex(self.sources[keep], kept[self.offsets])
-        return SegmentIndex(np.searchsorted(nodes, self.sources[keep]),
-                            np.append(0, kept[self.offsets[nodes + 1]]))
+            return SegmentIndex(sources, np.searchsorted(kept, self.offsets))
+        return SegmentIndex(np.searchsorted(nodes, sources),
+                            np.append(0, np.searchsorted(kept, self.offsets[nodes + 1])))
 
     @cached_property
     def normalized(self) -> sp.csr_matrix:
@@ -582,8 +609,9 @@ def build_segment_index(src: Array, dst: Array, num_nodes: int) -> SegmentIndex:
 
 _LEAKY_SLOPE = 0.2
 
-# entries per block of the attention backward's weight-gradient gather
-_SDDMM_CHUNK = 2048
+# bytes per gathered block of the attention backward's weight-gradient
+# gather: each of its two (entries, K*d) float64 gathers stays this small
+_SDDMM_BLOCK_BYTES = 1 << 19
 
 
 def _add_into(acc: Array | None, x: Array) -> Array:
@@ -670,13 +698,14 @@ def attention(hw, attn, index: SegmentIndex, kind: str,
         if g is not None:
             if average:
                 g = np.asarray(g @ _head_average(K, d).T)
-            # all heads at once, _SDDMM_CHUNK entries at a time: gathering
+            # all heads at once, a block of entries at a time: gathering
             # all E entries at once holds two (E, K*d) copies and raised
             # the peak memory
+            block = max(1, _SDDMM_BLOCK_BYTES // (8 * max(K * d, 1)))
             g_alpha = np.empty((E, K))
             g3 = g.reshape(n, K, d)
-            for start in range(0, E, _SDDMM_CHUNK):
-                stop = start + _SDDMM_CHUNK
+            for start in range(0, E, block):
+                stop = start + block
                 np.einsum("ekd,ekd->ek", np.take(g3, targets[start:stop], axis=0),
                           np.take(x3, sources[start:stop], axis=0), out=g_alpha[start:stop])
             if _needs_grad(hw):

@@ -712,7 +712,6 @@ RUNNERS = {
     "ablate-losses": run_loss_ablation,
     "gridsearch": run_gridsearch,
 }
-EXPERIMENT_NAMES = (*RUNNERS, "gen-sbm", "gradcheck", "homophily-check")
 
 
 def best_grid_condition(report: RunReport) -> tuple[str, float]:

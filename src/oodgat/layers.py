@@ -131,11 +131,11 @@ def _input_dropout(x, p: float, rng: np.random.Generator):
     """Feature dropout that preserves sparsity for sparse constants: a
     sparse input keeps only its surviving entries."""
     if sp.issparse(x):
-        keep = rng.random(x.nnz) >= p
-        kept = np.zeros(x.nnz + 1, dtype=x.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        return sp.csr_matrix((x.data[keep] / (1.0 - p), x.indices[keep], kept[x.indptr]),
-                             shape=x.shape)
+        # positions and take, not a boolean mask: a mask indexes far slower
+        kept = np.flatnonzero(rng.random(x.nnz) >= p)
+        indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
+        return sp.csr_matrix((np.take(x.data, kept) / (1.0 - p), np.take(x.indices, kept),
+                              indptr), shape=x.shape)
     return engine.dropout(x, p, rng)
 
 
@@ -246,9 +246,9 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
     """Two-layer forward pass for any architecture.
 
     Layer k takes its index (the field's `layer{k}`, or the graph index
-    after drop-edge; none for mlp), runs the architecture's op, applies the
-    activation (k = 1) or the row softmax (k = 2), and in a field forward
-    keeps the field's `keep{k}` rows of the output and the mean scores.
+    after drop-edge; none for mlp), runs the architecture's op, in a field
+    forward keeps the field's `keep{k}` rows of the output and the mean
+    scores, and applies the activation (k = 1) or the row softmax (k = 2).
 
     `features` may be a dense ndarray or a scipy CSR constant; gradients
     never flow into it. `training` is the run's TrainConfig in a training
@@ -284,11 +284,11 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
                                         idx, attention.kind, average=k == 2)
         else:
             h = gcn_layer(h, idx, W) if arch == "gcn" else engine.matmul(h, W)
-        h = act(h) if k == 1 else engine.row_softmax(h)
         scores.append(score)
         keep = getattr(field, f"keep{k}") if field else None
-        if keep is not None:
+        if keep is not None:  # both steps below act row by row
             h, *scores = [t if t is None else engine.take_rows(t, keep) for t in (h, *scores)]
+        h = act(h) if k == 1 else engine.row_softmax(h)
         if k == 1 and dropout_p > 0:
             h = engine.dropout(h, dropout_p, rng)
     return ModelOutputs(h, *scores)

@@ -100,6 +100,72 @@ def test_backward_frees_the_tape_without_the_cyclic_gc():
     assert grads[w].shape == w.shape
 
 
+def test_dropped_outputs_are_freed_while_the_tape_records():
+    # a hidden layer of a training forward: attention, elu, dropout. No
+    # backward closure reads the attention or the elu output, so once the
+    # caller drops them the live tape must not keep their values
+    rng = np.random.default_rng(31)
+    n, K, d = 12, 2, 3
+    idx = build_segment_index(rng.integers(0, n, 30), rng.integers(0, n, 30), n)
+    W, a = leaf(rng.standard_normal((5, K * d))), leaf(rng.standard_normal((d, K)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with GradTape():
+            out, score = attention(matmul(rng.standard_normal((n, 5)), W), a, idx, "agree")
+            hidden = elu(out)
+            dropped = dropout(hidden, 0.5, rng)
+            refs = [weakref.ref(out.values), weakref.ref(hidden.values)]  # Tensor has no weakref
+            del out, hidden
+            assert [ref() is None for ref in refs] == [True, True]
+            grads = backward(add(reduce_sum(dropped), reduce_sum(score)))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert list(grads) == [a, W]
+
+
+def _held_by_a_closure():
+    held = np.full((2, 2), 3.0)
+    return held, lambda g: (g * held,)
+
+
+def test_backward_frees_each_node_before_the_next_runs():
+    # the later node's closure holds the only reference to `held`: both
+    # must be gone by the time the sweep runs the earlier node
+    x = leaf(np.ones((2, 2)))
+    seen = []
+
+    def first_bwd(g):
+        seen.extend(ref() is None for ref in refs)
+        return (g * 2.0,)
+
+    held, second_bwd = _held_by_a_closure()
+    with GradTape():
+        first = Tensor(x.values * 2.0)
+        engine._record(first, (x,), first_bwd)
+        second = Tensor(first.values * held)
+        engine._record(second, (first,), second_bwd)
+        loss = reduce_sum(second)
+    refs = [weakref.ref(held), weakref.ref(second_bwd)]
+    del held, second_bwd
+    grads = backward(loss)
+    assert seen == [True, True]
+    np.testing.assert_array_equal(grads[x], np.full((2, 2), 6.0))
+
+
+def test_an_earlier_tapes_output_is_a_leaf_of_a_later_tape():
+    w = leaf([[2.0]])
+    with GradTape():
+        y = mul(w, w)
+    with GradTape():
+        # the later tape's first output shares y's key on its own tape
+        loss = reduce_sum(mul(y, y))
+        grads = backward(loss)
+    assert list(grads) == [y]
+    np.testing.assert_array_equal(grads[y], [[8.0]])
+
+
 def test_nested_tapes_raise():
     with GradTape():
         with pytest.raises(EngineError, match="already active"):
@@ -886,16 +952,19 @@ def test_attention_gradients_do_not_depend_on_the_sddmm_chunk(heads, monkeypatch
     rng = np.random.default_rng(heads)
     n, d = 300, 3
     idx = build_segment_index(rng.integers(0, n, 2600), rng.integers(0, n, 2600), n)
-    # more than one chunk of entries, the last one partial
-    assert idx.num_entries > engine._SDDMM_CHUNK and idx.num_entries % engine._SDDMM_CHUNK
+    entry_bytes = 8 * heads * d  # one entry's gathered row
+    # blocks of 512 entries: more than one, the last one partial
+    assert idx.num_entries > 512 and idx.num_entries % 512
     hw = leaf(rng.standard_normal((n, heads * d)))
     g = rng.standard_normal((n, heads * d))
     operands = [("agree", leaf(rng.standard_normal((d, heads)))),
                 ("leaky", leaf(rng.standard_normal((2 * d, heads))))]
     results = []
-    # the default chunk, every entry at once, and a small chunk
-    for chunk in (engine._SDDMM_CHUNK, idx.num_entries + 1, 7):
-        monkeypatch.setattr(engine, "_SDDMM_CHUNK", chunk)
+    # 512 entries, every entry at once, a small block, and a budget below
+    # one entry, which still gathers one entry per block
+    for budget in (512 * entry_bytes, (idx.num_entries + 1) * entry_bytes,
+                   7 * entry_bytes, entry_bytes - 1):
+        monkeypatch.setattr(engine, "_SDDMM_BLOCK_BYTES", budget)
         for kind, attn in operands:
             with GradTape():
                 out, _ = attention(hw, attn, idx, kind)

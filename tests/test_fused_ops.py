@@ -230,8 +230,8 @@ def spmm(weights, h, index):
         if _needs_grad(weights):
             gw = np.empty((E, K))
             g3, h3 = g.reshape(n, K, d), hv.reshape(n, K, d)
-            for start in range(0, E, engine._SDDMM_CHUNK):
-                stop = start + engine._SDDMM_CHUNK
+            for start in range(0, E, 512):
+                stop = start + 512
                 np.einsum("ekd,ekd->ek", np.take(g3, index.targets[start:stop], axis=0),
                           np.take(h3, index.sources[start:stop], axis=0),
                           out=gw[start:stop])
@@ -473,12 +473,13 @@ def test_attention_equals_the_chain(heads, kind, average):
 
 @pytest.mark.parametrize("kind", ["agree", "leaky"])
 @pytest.mark.parametrize("heads", [1, 3])
-def test_attention_across_sddmm_chunks_equals_the_chain(heads, kind):
+def test_attention_across_sddmm_chunks_equals_the_chain(heads, kind, monkeypatch):
     rng = np.random.default_rng(120 + heads)
     n, d = 300, 3
     index = build_segment_index(rng.integers(0, n, 2600), rng.integers(0, n, 2600), n)
-    # more than one chunk of entries, the last one partial
-    assert index.num_entries > engine._SDDMM_CHUNK and index.num_entries % engine._SDDMM_CHUNK
+    # blocks of 512 entries: more than one, the last one partial
+    monkeypatch.setattr(engine, "_SDDMM_BLOCK_BYTES", 512 * 8 * heads * d)
+    assert index.num_entries > 512 and index.num_entries % 512
     for hv, av in attention_operands(rng, n, heads, d, kind):
         for average in (False, True):
             assert_attention_equals_the_chain(leaf(hv), leaf(av), index, kind, average, rng)

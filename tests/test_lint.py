@@ -1,8 +1,9 @@
-"""Unused-import lint over src/, tests/ and perfbench/, and nine guards
+"""Unused-import lint over src/, tests/ and perfbench/, and ten guards
 on src/: every public engine function is used, no sparse matrix is made
 dense outside the places that must, only the engine builds a
 message-passing index, only `engine.attention` writes the index's
-per-head block patterns, bundle text has one parser, detection scores
+per-head block patterns, only `_record` and `backward` touch the tape's
+node list, bundle text has one parser, detection scores
 are sorted in one place, the prediction softmax is applied only by
 `model_forward` (`test_prediction_softmax_is_applied_once`), output files
 have one writer each, and one function starts the process pool.
@@ -108,9 +109,9 @@ def test_every_engine_function_is_used_by_the_program():
     assert sorted(names - used) == []
 
 
-def calls_of(source: str, names: set[str]) -> list[tuple[int, str]]:
-    """(line, innermost enclosing function or "") of every call of a name
-    in `names`, bare (`f(...)`) or as an attribute (`x.f(...)`)."""
+def _owned(source: str, matches) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "") of every node for which
+    `matches(node)` holds."""
     tree = ast.parse(source)
     owner: dict[int, str] = {}
     for fn in ast.walk(tree):  # breadth first, so inner functions overwrite
@@ -118,17 +119,29 @@ def calls_of(source: str, names: set[str]) -> list[tuple[int, str]]:
             for inner in ast.walk(fn):
                 owner[id(inner)] = fn.name
     return sorted((node.lineno, owner.get(id(node), "")) for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in names)
+                  if matches(node))
 
 
-def calls_outside(allowed: dict[str, set[str]], names: set[str]) -> list[str]:
+def calls_of(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "") of every call of a name
+    in `names`, bare (`f(...)`) or as an attribute (`x.f(...)`)."""
+    return _owned(source, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) in names)
+
+
+def attributes_of(source: str, names: set[str]) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "") of every read or write
+    of an attribute named in `names` (`x.attr`)."""
+    return _owned(source, lambda node: isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def calls_outside(allowed: dict[str, set[str]], names: set[str], found_by=calls_of) -> list[str]:
     """Calls in src/ of a name in `names` outside the functions `allowed`
-    lists for their module."""
+    lists for their module; with `found_by=attributes_of`, attribute uses."""
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         name = path.relative_to(ROOT / "src").as_posix()
-        for line, fn in calls_of(path.read_text(), names):
+        for line, fn in found_by(path.read_text(), names):
             if fn not in allowed.get(name, set()):
                 found.append(f"src/{name}:{line}: in {fn or '<module>'}")
     return found
@@ -172,6 +185,25 @@ BLOCK_READERS = {"oodgat/engine.py": {"attention"}}
 
 def test_head_blocks_are_read_only_by_the_attention_op():
     assert calls_outside(BLOCK_READERS, {"head_blocks"}) == []
+
+
+# The tape's node list is written by `_record` and swept by `backward`,
+# which pops each node as it runs it; the tape's constructor makes it.
+TAPE_NODE_USERS = {"oodgat/engine.py": {"__init__", "_record", "backward"}}
+
+
+def test_attribute_uses_name_their_function():
+    source = ("class T:\n"
+              "    def __init__(self):\n"
+              "        self._nodes = []\n"
+              "def sweep(tape):\n"
+              "    nodes, tape._nodes = tape._nodes, []\n"
+              "    return nodes\n")
+    assert attributes_of(source, {"_nodes"}) == [(3, "__init__"), (5, "sweep"), (5, "sweep")]
+
+
+def test_tape_nodes_are_touched_only_by_record_and_backward():
+    assert calls_outside(TAPE_NODE_USERS, {"_nodes"}, found_by=attributes_of) == []
 
 
 # Bundle text has one parser: numpy reads every table in `_table`, and only
