@@ -262,13 +262,6 @@ def sigmoid(x) -> Tensor:
     return out
 
 
-def relu(x) -> Tensor:
-    v = _values(x)
-    out = Tensor(np.maximum(v, 0.0))
-    _record(out, (x,), lambda g: (g * (v > 0),))
-    return out
-
-
 def elu(x) -> Tensor:
     v = _values(x)
     # neg is 0 wherever v > 0, so the maximum and neg + 1 need no np.where

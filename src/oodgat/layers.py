@@ -1,6 +1,6 @@
 """Model definitions: MLP, GCN, GAT, and the OOD-aware attention network.
 
-All four are one two-layer model, `model_forward`: layer 1, activation,
+All four are one two-layer model, `model_forward`: layer 1, ELU,
 dropout in training, layer 2, row softmax, so outputs are probability
 rows. Only the layer op differs: a product (mlp), `gcn_layer`, or for
 GAT and the OOD-aware network the product h W followed by one
@@ -44,7 +44,6 @@ class ModelConfig:
     architecture: str = "gcn"
     hidden_dim: int = 0          # 0 = architecture default
     heads: int = 1
-    activation: str = "elu"
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -55,8 +54,6 @@ class ModelConfig:
             raise ConfigError("heads must be >= 1")
         if self.architecture not in ATTENTION and self.heads != 1:
             raise ConfigError(f"{self.architecture} has no attention heads; set heads=1")
-        if self.activation not in ("elu", "relu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.hidden_dim < 0:
             raise ConfigError("hidden_dim must be >= 0")
 
@@ -248,7 +245,7 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
     Layer k takes its index (the field's `layer{k}`, or the graph index
     after drop-edge; none for mlp), runs the architecture's op, in a field
     forward keeps the field's `keep{k}` rows of the output and the mean
-    scores, and applies the activation (k = 1) or the row softmax (k = 2).
+    scores, and applies ELU (k = 1) or the row softmax (k = 2).
 
     `features` may be a dense ndarray or a scipy CSR constant; gradients
     never flow into it. `training` is the run's TrainConfig in a training
@@ -272,7 +269,6 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
                           f"got {features.shape[0]}")
     arch = config.architecture
     attention = ATTENTION.get(arch)
-    act = engine.elu if config.activation == "elu" else engine.relu
     h = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
     scores = []  # each layer's mean score, None without one
     for k in (1, 2):
@@ -288,7 +284,7 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
         keep = getattr(field, f"keep{k}") if field else None
         if keep is not None:  # both steps below act row by row
             h, *scores = [t if t is None else engine.take_rows(t, keep) for t in (h, *scores)]
-        h = act(h) if k == 1 else engine.row_softmax(h)
+        h = engine.elu(h) if k == 1 else engine.row_softmax(h)
         if k == 1 and dropout_p > 0:
             h = engine.dropout(h, dropout_p, rng)
     return ModelOutputs(h, *scores)

@@ -28,7 +28,6 @@ class LossWeights:
     a: float = 0.9       # decay base
     b: float = 0.01      # decay exponent rate
     epsilon: float = 0.6  # OOD-score selection threshold
-    detach_consistency_target: bool = False
 
     def __post_init__(self):
         if min(self.beta, self.gamma, self.zeta) < 0:
@@ -146,8 +145,6 @@ def compute_objective(outputs, labels, train_mask, weights: LossWeights,
     if has_scores:
         if weights.beta != 0.0:
             e = entropy_score_vector(outputs.probs)
-            if weights.detach_consistency_target:
-                e = Tensor(e.values.copy())
             parts["con"] = consistency_loss(outputs.w1, outputs.w2, e)
         if weights.gamma != 0.0:
             parts["ent"] = entropy_reg_loss(outputs.probs, outputs.att_score, weights.epsilon)

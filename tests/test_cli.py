@@ -121,6 +121,29 @@ def test_broken_spec_reports_error_kind(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_spec_that_is_not_utf8_is_single_error_line(tmp_path, capsys):
+    spec = tiny_spec(tmp_path)
+    spec.write_bytes(b"# caf\xe9\n" + spec.read_bytes())
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR ConfigError: bad spec file {spec}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("model", "activation", "elu"),
+                                                 ("loss", "detach_consistency_target", "false")])
+def test_removed_spec_keys_are_single_error_line(tmp_path, capsys, section, key, value):
+    spec = tiny_spec(tmp_path, extra="[loss]\n")
+    spec.write_text(spec.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR ConfigError: [{section}] has unknown key(s): ['{key}']\n")
+    assert not out.exists()
+
+
 DEMO_SPEC = Path(__file__).resolve().parents[1] / "specs" / "sbm-demo.spec"
 
 
@@ -317,6 +340,31 @@ def test_a_failed_run_keeps_the_finished_runs_files_and_writes_no_report(
     assert captured.out == ""
     assert sorted(tree(out)) == ["curves/oodgat-s0r0-att-roc.csv", "curves/oodgat-s0r0-roc.csv",
                                  "history/oodgat-s0r0.csv"]
+
+
+def test_a_failed_rerun_removes_the_earlier_report(tmp_path, capsys, monkeypatch):
+    spec = tiny_spec(tmp_path)
+    spec.write_text(spec.read_text().replace("splits = 1", "splits = 2"))
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 0
+    train = experiments.train
+    calls = []
+
+    def second_run_aborts(model, graph, splits, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise TrainingAbort("non-finite loss at step 3", step=3)
+        return train(model, graph, splits, cfg)
+
+    monkeypatch.setattr(experiments, "train", second_run_aborts)
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out),
+                 "--seed-base", "5"]) == 2
+    capsys.readouterr()
+    # the first run's files are the second call's; the second run's are stale
+    # and no report vouches for them
+    assert sorted(tree(out)) == ["curves/oodgat-s0r0-att-roc.csv", "curves/oodgat-s0r0-roc.csv",
+                                 "curves/oodgat-s1r0-att-roc.csv", "curves/oodgat-s1r0-roc.csv",
+                                 "history/oodgat-s0r0.csv", "history/oodgat-s1r0.csv"]
 
 
 def test_gen_sbm_end_to_end(tmp_path, capsys):

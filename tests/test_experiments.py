@@ -4,6 +4,7 @@ import configparser
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,12 +201,7 @@ def test_parse_spec_grid_section(tmp_path):
 
 
 def test_spec_values_read_as_field_types(tmp_path):
-    spec = parse_spec(write_spec(tmp_path, loss=OODGAT_LOSS
-                                 + "\ndetach_consistency_target = yes"))
-    assert spec.train.loss_weights.detach_consistency_target is True
-    assert spec.config["loss"]["detach_consistency_target"] is True
-    for loss, key in (("detach_consistency_target = maybe", "detach_consistency_target"),
-                      ("epsilon = x", "epsilon"), ("beta = nan", "beta"),
+    for loss, key in (("epsilon = x", "epsilon"), ("beta = nan", "beta"),
                       ("zeta = inf", "zeta")):
         with pytest.raises(ConfigError, match=f"{key}: expected"):
             parse_spec(write_spec(tmp_path, loss=loss))
@@ -217,14 +213,12 @@ def test_spec_values_read_as_field_types(tmp_path):
 
 def test_grid_labels_keep_the_written_numbers(tmp_path):
     spec = parse_spec(write_spec(tmp_path, name="gridsearch", extra=(
-        "\n[grid]\ndropout_p = 0, 0.5\nweight_decay = 0, 5e-5\n"
-        "activation = elu, relu\n")))
-    assert spec.config["grid"] == {"dropout_p": [0, 0.5], "weight_decay": [0, 5e-05],
-                                   "activation": ["elu", "relu"]}
+        "\n[grid]\ndropout_p = 0, 0.5\nweight_decay = 0, 5e-5\n")))
+    assert spec.config["grid"] == {"dropout_p": [0, 0.5], "weight_decay": [0, 5e-05]}
     label, model, train_cfg = spec.grid[0]
-    assert label == "activation=elu,dropout_p=0,weight_decay=0"
+    assert label == "dropout_p=0,weight_decay=0"
     assert type(train_cfg.dropout_p) is float and train_cfg.weight_decay == 0.0
-    assert spec.grid[-1][0] == "activation=relu,dropout_p=0.5,weight_decay=5e-05"
+    assert spec.grid[-1][0] == "dropout_p=0.5,weight_decay=5e-05"
 
 
 @pytest.mark.parametrize("line", ["seed = 1, 2", "architecture = gcn, mlp",
@@ -238,11 +232,9 @@ def test_grid_rejects_fields_no_spec_sets(tmp_path, line):
     ("heads = 2.0", "heads: expected int, got '2.0'"),
     ("max_steps = 3.5", "max_steps: expected int"),
     ("lr = 0.1, fast", "lr: expected float"),
-    ("detach_consistency_target = true, maybe", "detach_consistency_target: expected bool"),
     ("heads = 1, 0", "heads must be >= 1"),
     ("dropout_p = 0, 1.5", "dropout rates"),
     ("lr = 0.1, 1e-1", "twice"),
-    ("detach_consistency_target = true, yes", "twice"),
     ("dropout_p = 0, 0.0", "twice"),
 ])
 def test_bad_grid_cell_fails_at_load(tmp_path, line, match):
@@ -329,13 +321,13 @@ def test_expand_space_rejects_bad_input():
 
 def test_grid_cells_route_fields(tmp_path):
     spec = parse_spec(write_spec(tmp_path, name="gridsearch", heads=1, extra=(
-        "\n[grid]\nheads = 8\nlr = 0.1\nbeta = 3.0\ndetach_consistency_target = on\n")))
+        "\n[grid]\nheads = 8\nlr = 0.1\nbeta = 3.0\nepsilon = 0.3\n")))
     [(label, model, train_cfg)] = spec.grid
-    assert label == "beta=3.0,detach_consistency_target=on,heads=8,lr=0.1"
+    assert label == "beta=3.0,epsilon=0.3,heads=8,lr=0.1"
     assert model.heads == 8
     assert train_cfg.lr == 0.1
     assert train_cfg.loss_weights.beta == 3.0
-    assert train_cfg.loss_weights.detach_consistency_target is True
+    assert train_cfg.loss_weights.epsilon == 0.3
     # the fields no cell sets keep the spec's values
     assert model.architecture == "oodgat" and model.num_classes == spec.model.num_classes
     assert train_cfg.weight_decay == spec.train.weight_decay
@@ -343,7 +335,22 @@ def test_grid_cells_route_fields(tmp_path):
     # the spec's own configs are untouched
     assert spec.model.heads == 1 and spec.train.lr == 0.01
     assert spec.train.loss_weights.beta == 1.0
-    assert spec.train.loss_weights.detach_consistency_target is False
+    assert spec.train.loss_weights.epsilon == 0.5
+
+
+def readme_spec_keys() -> dict[str, set[str]]:
+    """The keys that the README's "Spec files" block lists per section."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Spec files")[1]
+    parts = re.split(r"^\[(\w+)\]", block.split("```")[1], flags=re.M)[1:]
+    # a key starts a line or follows a comma; "= ..." after it is its value
+    return {name: set(re.findall(r"(?:^|,)\s*(\w+)", text, flags=re.M))
+            for name, text in zip(parts[::2], parts[1::2])}
+
+
+def test_readme_lists_the_spec_keys():
+    listed = readme_spec_keys()
+    assert {name: listed[name] for name in experiments._SECTION_KEYS} == {
+        name: set(keys) for name, keys in experiments._SECTION_KEYS.items()}
 
 
 COMMITTED_SPECS = sorted((ROOT / "specs").glob("*.spec")) + sorted(
@@ -778,13 +785,12 @@ def test_gridsearch_ranks_cells(tmp_path, outdir):
     assert score == report.aggregates["lr=0.05"]["best_val_composite"]["mean"]
 
 
-def test_gridsearch_bool_cells_train_differently(tmp_path, outdir):
+def test_gridsearch_cells_train_differently(tmp_path, outdir):
     spec = parse_spec(write_spec(tmp_path, name="gridsearch", steps=6, splits=1, extra=(
-        "\n[grid]\ndetach_consistency_target = true, false\n")))
-    out = outdir / "gs-detach"
+        "\n[grid]\nbeta = 0.5, 2.0\n")))
+    out = outdir / "gs-beta"
     report = run_gridsearch(spec, seed_base=0, out_dir=out)
-    assert [r.condition for r in report.runs] == ["detach_consistency_target=true",
-                                                  "detach_consistency_target=false"]
+    assert [r.condition for r in report.runs] == ["beta=0.5", "beta=2.0"]
     hist = [(out / "history" / f"{r.run_id}.csv").read_text() for r in report.runs]
     assert hist[0] != hist[1]
 

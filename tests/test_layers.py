@@ -357,8 +357,6 @@ def test_model_config_validation():
         ModelConfig(architecture="sage", num_classes=3)
     with pytest.raises(ConfigError, match="heads"):
         ModelConfig(architecture="gcn", num_classes=3, heads=4)
-    with pytest.raises(ConfigError, match="activation"):
-        ModelConfig(architecture="gcn", num_classes=3, activation="tanh")
     assert ModelConfig(architecture="oodgat", num_classes=4).width == 32
     assert ModelConfig(architecture="gcn", num_classes=4).width == 64
     assert ModelConfig(architecture="gcn", num_classes=4, hidden_dim=16).width == 16
