@@ -264,8 +264,10 @@ def sigmoid(x) -> Tensor:
 
 def elu(x) -> Tensor:
     v = _values(x)
-    # neg is 0 wherever v > 0, so the maximum and neg + 1 need no np.where
-    neg = np.expm1(np.minimum(v, 0.0))
+    # neg is 0 wherever v > 0, so the maximum and neg + 1 need no np.where;
+    # expm1 writes over the minimum, so the op allocates two arrays, not three
+    neg = np.minimum(v, 0.0)
+    np.expm1(neg, out=neg)
     out = Tensor(np.maximum(v, neg))
     _record(out, (x,), lambda g: (g * (neg + 1.0),))
     return out

@@ -127,9 +127,13 @@ _READERS = {"int": int, "float": float, "str": str}
 
 
 def _value(key: str, token: str, kind: str):
-    """A spec token read as `kind`, the annotation of the field `key` sets."""
+    """A spec token read as `kind`, the annotation of the field `key` sets.
+    A number is ASCII without underscores: `int` and `float` alone would
+    also read `1_0`, or 10 in Arabic-Indic digits, as 10."""
     token = token.strip()
     try:
+        if kind != "str" and ("_" in token or not token.isascii()):
+            raise ValueError(token)
         value = _READERS[kind](token)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind}, got {token!r}") from None

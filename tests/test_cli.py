@@ -180,6 +180,20 @@ def test_non_number_in_demo_spec_is_single_error_line(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, written, message", [
+    ("max_steps = 15", "max_steps = 1_0", "max_steps: expected int, got '1_0'"),
+    ("patience = 15", "patience = 15\nlr = ٠.١", "lr: expected float, got '٠.١'"),
+], ids=["underscore", "arabic-indic-digits"])
+def test_non_ascii_or_underscored_number_is_single_error_line(tmp_path, capsys, line, written,
+                                                              message):
+    spec = tiny_spec(tmp_path)
+    spec.write_text(spec.read_text(encoding="utf-8").replace(line, written), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["train-eval", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR ConfigError: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_single_error_line(tmp_path, capsys, workers):
     out = tmp_path / "o"

@@ -211,6 +211,41 @@ def test_spec_values_read_as_field_types(tmp_path):
         parse_spec(write_spec(tmp_path, heads="2.5"))
 
 
+# Python's int() and float() read every one of these as a number
+@pytest.mark.parametrize("key, token, kind", [
+    ("max_steps", "1_0", "int"),
+    ("max_steps", "١٠", "int"),
+    ("max_steps", "１０", "int"),
+    ("lr", "1_0.5", "float"),
+    ("lr", "1e1_0", "float"),
+    ("lr", "١٠.5", "float"),
+])
+def test_spec_numbers_are_ascii_without_underscores(key, token, kind):
+    with pytest.raises(ConfigError, match=f"^{key}: expected {kind}, got '{token}'$"):
+        experiments._value(key, token, kind)
+
+
+def test_ascii_spec_numbers_still_read():
+    assert experiments._value("max_steps", " +10 ", "int") == 10
+    assert experiments._value("max_steps", "010", "int") == 10
+    assert experiments._value("lr", "1e-3", "float") == 0.001
+    assert experiments._value("lr", ".5", "float") == 0.5
+    assert experiments._value("architecture", "gcn_ü", "str") == "gcn_ü"
+    assert experiments._int_list("ood_classes", "3, 11") == [3, 11]
+    assert experiments._grid_candidates("max_steps", "10, 20") == [(10, 10), (20, 20)]
+
+
+def test_spec_lists_and_grid_cells_inherit_the_ascii_rule():
+    with pytest.raises(ConfigError, match="^ood_classes: expected int, got '٣'$"):
+        experiments._int_list("ood_classes", "٣, 1")
+    with pytest.raises(ConfigError, match="^ood_classes: expected int, got '1_1'$"):
+        experiments._int_list("ood_classes", "3, 1_1")
+    with pytest.raises(ConfigError, match="^max_steps: expected int, got '1_0'$"):
+        experiments._grid_candidates("max_steps", "1_0, 20")
+    with pytest.raises(ConfigError, match="^max_steps: expected int, got '٢٠'$"):
+        experiments._grid_candidates("max_steps", "10, ٢٠")
+
+
 def test_grid_labels_keep_the_written_numbers(tmp_path):
     spec = parse_spec(write_spec(tmp_path, name="gridsearch", extra=(
         "\n[grid]\ndropout_p = 0, 0.5\nweight_decay = 0, 5e-5\n")))
@@ -273,10 +308,14 @@ SBM_DATASET = ("kind = sbm\nclasses = 4\nnodes_per_class = 50\np_intra = 0.1\np_
      "unknown key\\(s\\): \\['p_intra', 'seed'\\]"),
     ("train-eval", SBM_DATASET + "\npath = x", "", "unknown key\\(s\\): \\['path'\\]"),
     ("gen-sbm", BUNDLE_DATASET, "", "gen-sbm needs \\[dataset\\] kind=sbm"),
+    ("train-eval", BUNDLE_DATASET.replace("= 2", "= ٢"), "", "ood_classes: expected int"),
+    ("train-eval", BUNDLE_DATASET, "[train]\nmax_steps = 1_0", "max_steps: expected int"),
+    ("gridsearch", BUNDLE_DATASET, "[grid]\nlr = 0.1, 1_0.5", "lr: expected float"),
 ], ids=["lr-type", "lr-range", "model-type", "model-key", "loss-value", "grid-range",
         "grid-type", "grid-missing", "ablation-arch", "ablation-default-arch",
         "grid-outside-gridsearch", "sbm-keys-in-bundle", "bundle-key-in-sbm",
-        "gen-sbm-from-bundle"])
+        "gen-sbm-from-bundle", "list-digits", "train-underscore",
+        "grid-underscore"])
 def test_spec_sections_fail_before_the_dataset_loads(tmp_path, monkeypatch, name, dataset,
                                                      sections, match):
     def load(*args):

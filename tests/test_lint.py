@@ -16,7 +16,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src", "tests", "perfbench")
+SCANNED = ("src", "tests", "perfbench", "scripts")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
