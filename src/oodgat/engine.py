@@ -336,8 +336,14 @@ def row_softmax(x) -> Tensor:
     return out
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: surviving entries are scaled by 1/(1-p)."""
+def dropout(x, p: float, rng: np.random.Generator, rows: Array | None = None,
+            num_rows: int | None = None) -> Tensor:
+    """Inverted dropout: surviving entries are scaled by 1/(1-p).
+
+    With `rows`, x holds those rows of a `num_rows`-row matrix: the mask
+    is drawn for that whole matrix, as its own dropout would draw it, and
+    then cut to `rows`.
+    """
     if not 0.0 <= p < 1.0:
         raise EngineError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
@@ -347,7 +353,10 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     v = _values(x)
     # a boolean mask, not a float one, is what the backward keeps; masking
     # before the scale gives v * (mask / (1 - p)) bit for bit, overflow too
-    keep = rng.random(v.shape) >= p
+    if rows is None:
+        keep = rng.random(v.shape) >= p
+    else:
+        keep = np.take(rng.random((num_rows, v.shape[1])), rows, axis=0) >= p
     scale = 1.0 / (1.0 - p)
     out = Tensor((v * keep) * scale)
     _record(out, (x,), lambda g: ((g * keep) * scale,))

@@ -586,9 +586,18 @@ def _history_lines(rows: list):
 
 
 def _curve_lines(points):
+    """The rows "threshold,tpr,fpr", each value its float's repr. A sweep
+    repeats each rate over many rows, so every distinct rate (by bit
+    pattern: -0.0 is not 0.0) is formatted once; thresholds, mostly
+    distinct, are formatted per row."""
     yield "threshold,tpr,fpr\n"
-    for th, tpr, fpr in points.tolist():
-        yield "%r,%r,%r\n" % (th, tpr, fpr)
+    rates = []
+    for column in points[:, 1:].T:
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        rates.append(np.array([repr(x) for x in bits.view(np.float64).tolist()],
+                              dtype=object)[inverse].tolist())
+    for th, tpr, fpr in zip(points[:, 0].tolist(), *rates):
+        yield "%r,%s,%s\n" % (th, tpr, fpr)
 
 
 def _write_run_files(run_id: str, history, curves: dict, out_dir) -> None:

@@ -124,16 +124,19 @@ def drop_edge(index: SegmentIndex, p: float, rng: np.random.Generator) -> Segmen
     return index.select(keep)
 
 
-def _input_dropout(x, p: float, rng: np.random.Generator):
+def _input_dropout(x, p: float, rng: np.random.Generator, rows: np.ndarray | None = None):
     """Feature dropout that preserves sparsity for sparse constants: a
-    sparse input keeps only its surviving entries."""
+    sparse input keeps only its surviving entries. The mask is drawn over
+    all of x; with `rows`, only those rows of the result are returned."""
     if sp.issparse(x):
         # positions and take, not a boolean mask: a mask indexes far slower
         kept = np.flatnonzero(rng.random(x.nnz) >= p)
         indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
-        return sp.csr_matrix((np.take(x.data, kept) / (1.0 - p), np.take(x.indices, kept),
-                              indptr), shape=x.shape)
-    return engine.dropout(x, p, rng)
+        out = sp.csr_matrix((np.take(x.data, kept) / (1.0 - p), np.take(x.indices, kept),
+                             indptr), shape=x.shape)
+        return out if rows is None else out[rows]
+    return engine.dropout(x if rows is None else np.take(x, rows, axis=0), p, rng, rows,
+                          x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +179,15 @@ def gcn_layer(h, index: SegmentIndex | sp.csr_matrix, W: Tensor) -> Tensor:
 
 @dataclass(frozen=True, eq=False)
 class ReceptiveField:
-    """What a two-layer evaluation forward reads to give its outputs at
-    `nodes` exactly, bit for bit as the full-graph forward gives them there.
+    """What a two-layer forward reads to give its outputs at `nodes`
+    exactly, bit for bit as the full-graph forward gives them there.
 
     `rows` are the feature rows it reads (sorted node ids): `nodes` for
     mlp, and for the other architectures N2, the in-neighbourhood of N1,
-    which is the in-neighbourhood of `nodes`. `layer1` and `layer2` take
+    which is the in-neighbourhood of `nodes`. `layer1_nodes` are the ids
+    of layer 1's output rows, N1 (`nodes` for mlp), where a training
+    forward cuts the hidden dropout mask, and `num_nodes` is the graph's
+    node count, over which it draws the masks. `layer1` and `layer2` take
     the graph index's place in each layer: for gcn the rows N1 and then
     `nodes` of its propagation matrix, with columns renumbered; for the
     attention models a SegmentIndex over N2 (then N1), numbered in sorted
@@ -192,6 +198,8 @@ class ReceptiveField:
 
     nodes: np.ndarray
     rows: np.ndarray
+    layer1_nodes: np.ndarray
+    num_nodes: int
     layer1: SegmentIndex | sp.csr_matrix | None = None
     layer2: SegmentIndex | sp.csr_matrix | None = None
     keep1: np.ndarray | None = None
@@ -217,16 +225,16 @@ def receptive_field(index: SegmentIndex, nodes, architecture: str) -> ReceptiveF
     per-node loop; every group of `index` must hold one self entry."""
     nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     if architecture == "mlp":
-        return ReceptiveField(nodes=nodes, rows=nodes)
+        return ReceptiveField(nodes, nodes, nodes, index.num_nodes)
     into_nodes = np.isin(index.targets, nodes)  # self entries make nodes part of inner
     inner = np.unique(index.sources[into_nodes])
     into_inner = np.isin(index.targets, inner)
     outer = np.unique(index.sources[into_inner])
     if architecture == "gcn":
-        return ReceptiveField(nodes=nodes, rows=outer,
+        return ReceptiveField(nodes, outer, inner, index.num_nodes,
                               layer1=index.normalized[inner][:, outer],
                               layer2=index.normalized[nodes][:, inner])
-    return ReceptiveField(nodes=nodes, rows=outer,
+    return ReceptiveField(nodes, outer, inner, index.num_nodes,
                           layer1=_sub_index(index, into_inner, outer),
                           layer2=_sub_index(index, into_nodes, inner),
                           keep1=np.searchsorted(outer, inner),
@@ -253,23 +261,34 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
     from `rng` in a fixed order (input dropout, layer-1 edges, hidden
     dropout, layer-2 edges).
 
-    `index` is the graph's index, or in evaluation a ReceptiveField of it
-    built for this architecture. Then `features` holds the field's rows
-    (`field.features_of`), and the outputs have one row per field node.
+    `index` is the graph's index, or a ReceptiveField of it built for
+    this architecture; the outputs then have one row per field node. In
+    evaluation `features` holds the field's rows (`field.features_of`).
+    In training it holds the whole graph's: each dropout mask is drawn
+    over the whole graph, as the full-graph forward draws it, and then cut
+    to the field's rows (`rows`, then `layer1_nodes`), so the rng stream
+    is the same. A training field forward drops no edges.
     """
     dropout_p = training.dropout_p if training else 0.0
     drop_edge_p = training.drop_edge_p if training else 0.0
     if (dropout_p > 0 or drop_edge_p > 0) and rng is None:
         raise ConfigError("training-mode forward needs an rng for dropout draws")
     field = index if isinstance(index, ReceptiveField) else None
-    if field is not None and training is not None:
-        raise ConfigError("a receptive-field forward is an evaluation forward")
-    if field is not None and features.shape[0] != len(field.rows):
-        raise ConfigError(f"the receptive field reads {len(field.rows)} feature rows, "
-                          f"got {features.shape[0]}")
+    cut = field is not None and training is not None  # cuts the whole graph's rows
+    if cut and drop_edge_p > 0:
+        raise ConfigError("a training forward on a receptive field cannot drop edges")
+    if field is not None:
+        want = field.num_nodes if cut else len(field.rows)
+        if features.shape[0] != want:
+            raise ConfigError(f"this receptive-field forward reads {want} feature rows, "
+                              f"got {features.shape[0]}")
     arch = config.architecture
     attention = ATTENTION.get(arch)
-    h = _input_dropout(features, dropout_p, rng) if dropout_p > 0 else features
+    rows = field.rows if cut else None
+    if dropout_p > 0:
+        h = _input_dropout(features, dropout_p, rng, rows)
+    else:
+        h = features if rows is None else field.features_of(features)
     scores = []  # each layer's mean score, None without one
     for k in (1, 2):
         W, score = params[f"l{k}.W"], None
@@ -286,7 +305,8 @@ def model_forward(config: ModelConfig, params: dict[str, Tensor], features,
             h, *scores = [t if t is None else engine.take_rows(t, keep) for t in (h, *scores)]
         h = engine.elu(h) if k == 1 else engine.row_softmax(h)
         if k == 1 and dropout_p > 0:
-            h = engine.dropout(h, dropout_p, rng)
+            h = (engine.dropout(h, dropout_p, rng, field.layer1_nodes, field.num_nodes) if cut
+                 else engine.dropout(h, dropout_p, rng))
     return ModelOutputs(h, *scores)
 
 

@@ -1,12 +1,15 @@
-"""Full-graph training: Adam and early stopping on the validation composite.
+"""Full-batch training: Adam and early stopping on the validation composite.
 
-One "step" is one gradient update computed on the whole graph
-(transductive full-batch training). After every update the model is
-re-run in evaluation mode on the validation split's receptive field (the
-nodes whose features reach a validation node's output), which gives the
-validation rows of a full-graph forward bit for bit; the selection
-signal is accuracy plus detection AUROC, and training stops once that
-composite has gone `patience` consecutive steps without a new maximum.
+One "step" is one gradient update over all training nodes (transductive
+full-batch training). When the objective reads only the training rows
+(cross-entropy alone, and no drop-edge), the training forward and
+backward run on the training nodes' receptive field (the nodes whose
+features reach a training node's output), which gives the training rows
+of a full-graph forward bit for bit; otherwise they run on the whole
+graph. After every update the model is re-run in evaluation mode on the
+validation split's receptive field, likewise; the selection signal is
+accuracy plus detection AUROC, and training stops once that composite
+has gone `patience` consecutive steps without a new maximum.
 """
 
 from __future__ import annotations
@@ -158,15 +161,33 @@ def validation_scores(outputs, labels: np.ndarray,
 # the training loop
 
 
+def trains_on_field(model_config: ModelConfig, cfg: TrainConfig) -> bool:
+    """Whether `train` runs its training forwards on the training nodes'
+    receptive field: the objective reads only the training rows (no score
+    regularizer is weighted on a model with scores, as those read every
+    row) and no edges are dropped (each step draws its own edge set)."""
+    w = cfg.loss_weights
+    regularized = model_config.architecture == "oodgat" and (w.beta or w.gamma or w.zeta)
+    return not regularized and cfg.drop_edge_p == 0
+
+
 def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
           cfg: TrainConfig) -> tuple[TrainedModel, TrainHistory]:
     """Train one model to early stopping and return the best checkpoint.
 
     The seed fixes parameter initialization and every dropout / drop-edge
-    draw, so a repeated call is bit-identical.
+    draw, so a repeated call is bit-identical. A run that
+    `trains_on_field` draws the same numbers as on the whole graph; only
+    its weight gradients sum over fewer rows, in another float order.
     """
     features = graph.features
     index = graph_index(graph)
+    train_nodes = np.flatnonzero(splits.train_mask)
+    if trains_on_field(model_config, cfg):
+        train_index = receptive_field(index, train_nodes, model_config.architecture)
+        train_labels, train_mask = graph.labels[train_nodes], np.ones(len(train_nodes), bool)
+    else:
+        train_index, train_labels, train_mask = index, graph.labels, splits.train_mask
     val_nodes = np.flatnonzero(splits.val_mask)
     field = receptive_field(index, val_nodes, model_config.architecture)
     val_features = field.features_of(features)
@@ -183,10 +204,9 @@ def train(model_config: ModelConfig, graph: Graph, splits: SplitAssignment,
 
     for step in range(1, cfg.max_steps + 1):
         with GradTape():
-            out = model_forward(model_config, params, features, index,
+            out = model_forward(model_config, params, features, train_index,
                                 training=cfg, rng=rng)
-            total, breakdown = compute_objective(out, graph.labels,
-                                                 splits.train_mask,
+            total, breakdown = compute_objective(out, train_labels, train_mask,
                                                  cfg.loss_weights, t=step - 1)
             if not np.isfinite(breakdown.total):
                 raise TrainingAbort(f"non-finite loss at step {step}",

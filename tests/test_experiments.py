@@ -568,6 +568,23 @@ def test_curve_and_history_lines_format_values_as_fmt():
         ",".join(experiments.HISTORY_COLUMNS) + "\n"]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_curve_lines_match_the_per_row_formatter(seed):
+    # rates repeat over tie blocks; thresholds hold inf, tied values and
+    # both zeros, which formatting by distinct value would merge
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    scores = rng.choice([-0.0, 0.0, 0.25, 1.0 / 3.0, 5e-324], n) if seed % 2 else rng.random(n)
+    positive = rng.random(n) < 0.3
+    points = np.column_stack([np.append(np.inf, np.sort(scores)[::-1]),
+                              np.append(0, np.cumsum(positive)) / max(positive.sum(), 1),
+                              np.append(0, np.cumsum(~positive)) / max((~positive).sum(), 1)])
+    points[rng.random(n + 1) < 0.05, 1:] = -0.0
+    want = "threshold,tpr,fpr\n" + "".join("%r,%r,%r\n" % tuple(row)
+                                          for row in points.tolist())
+    assert "".join(experiments._curve_lines(points)) == want
+
+
 # ---------------------------------------------------------------------------
 # process memory and the worker pool
 

@@ -24,6 +24,7 @@ from oodgat.layers import (
     graph_index,
     init_params,
     model_forward,
+    receptive_field,
     restore_params,
 )
 from oodgat.training import TrainConfig
@@ -486,6 +487,25 @@ def test_training_forward_draws_in_the_documented_order(arch, heads, form):
     plain = model_forward(cfg, params, features, graph_index(g), training=training,
                           rng=np.random.default_rng(13))
     assert np.array_equal(out.probs.values, plain.probs.values)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("arch,heads", [("mlp", 1), ("gcn", 1), ("gat", 2), ("oodgat", 2)])
+def test_training_field_forward_draws_as_the_full_forward(arch, heads, form):
+    g = toy_graph(n=9, seed=27, p=0.2)
+    features = g.features if form == "dense" else sp.csr_matrix(g.features)
+    cfg = ModelConfig(architecture=arch, num_classes=3, heads=heads, hidden_dim=6)
+    params = init_params(cfg, g.num_features, np.random.default_rng(12))
+    training = TrainConfig(dropout_p=0.5)
+    field = receptive_field(graph_index(g), [1, 5], arch)
+    rng = RecordingRng(13)
+    model_forward(cfg, params, features, field, training=training, rng=rng)
+    # whole-graph masks, input then hidden, however few rows the field keeps
+    x = g.features.shape if form == "dense" else features.nnz
+    assert rng.sizes == [x, (9, 6 * heads)]
+    plain = np.random.default_rng(13)
+    model_forward(cfg, params, features, graph_index(g), training=training, rng=plain)
+    assert rng.rng.bit_generator.state == plain.bit_generator.state
 
 
 def test_training_forward_needs_rng():

@@ -4,7 +4,9 @@ Each model must respect its graph: an evaluation output at node v reads
 only the features of v's 2-hop in-neighbourhood (v alone for mlp), it
 moves with v when the nodes are relabelled, and the per-step validation
 forward over the validation nodes' receptive field gives exactly the
-full-graph forward's rows. The graphs are seeded random graphs with
+full-graph forward's rows. A training forward and backward on the
+training nodes' field gives the full-graph step's training rows, loss and
+rng state exactly, and its weight gradients up to float order. The graphs are seeded random graphs with
 isolated nodes and a hub; the attention models run with 1 to 3 heads,
 and gcn runs once with a hidden layer wider than the features, so that
 its first layer aggregates before the product with W.
@@ -14,9 +16,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oodgat.engine import GradTape, backward
 from oodgat.errors import ConfigError
 from oodgat.graphs import make_graph
 from oodgat.layers import ModelConfig, init_params, model_forward, receptive_field
+from oodgat.losses import LossWeights, compute_objective
 from oodgat.training import TrainConfig
 
 
@@ -146,12 +150,54 @@ def test_eval_outputs_move_with_relabelled_nodes(arch, heads, hidden, seed):
         np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
 
 
-def test_receptive_field_forward_is_evaluation_only():
+def training_step(cfg, params, features, index, labels, mask, seed):
+    """One cross-entropy training forward and backward at dropout 0.5:
+    (probability rows, loss, rng state afterwards, gradient by name)."""
+    rng = np.random.default_rng(seed)
+    with GradTape():
+        out = model_forward(cfg, params, features, index, training=TrainConfig(dropout_p=0.5),
+                            rng=rng)
+        total, _ = compute_objective(out, labels, mask, LossWeights(), t=0)
+        grads = backward(total)
+    return (out.probs.values, total.values[0, 0], rng.bit_generator.state,
+            {name: grads[t] for name, t in params.items()})
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("arch,heads,hidden",
+                         [c for c in CASES if c.id in ("mlp-1", "gcn-1", "gcn-1-hidden8",
+                                                       "gat-2", "oodgat-2")])
+def test_training_field_step_equals_full_training_step_at_its_nodes(arch, heads, hidden, seed,
+                                                                    sparse):
+    graph, isolated, hub = battery_graph(seed)
+    cfg, params = perturbed_params(arch, heads, graph.num_features, seed, hidden)
+    features = sp.csr_matrix(graph.features) if sparse else graph.features
+    rng = np.random.default_rng(seed + 400)
+    nodes = np.unique(np.concatenate([[hub, isolated[0]], rng.choice(graph.num_nodes, 9)]))
+    mask = np.isin(np.arange(graph.num_nodes), nodes)
+    labels = graph.labels % 3  # the battery model's classes
+    field = receptive_field(graph.index, nodes, arch)
+    full = training_step(cfg, params, features, graph.index, labels, mask, seed)
+    cut = training_step(cfg, params, features, field, labels[nodes],
+                        np.ones(len(nodes), dtype=bool), seed)
+    assert np.array_equal(cut[0], full[0][nodes])
+    assert cut[1] == full[1]
+    assert cut[2] == full[2]
+    for name in params:
+        np.testing.assert_allclose(cut[3][name], full[3][name], rtol=1e-12, atol=0)
+
+
+def test_receptive_field_training_forward_refuses_drop_edge():
     graph, _, hub = battery_graph(0)
     cfg, params = perturbed_params("gcn", 1, graph.num_features, 0)
     field = receptive_field(graph.index, [hub], "gcn")
-    with pytest.raises(ConfigError, match="evaluation"):
-        model_forward(cfg, params, field.features_of(graph.features), field,
-                      training=TrainConfig(), rng=np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="drop edges"):
+        model_forward(cfg, params, graph.features, field,
+                      training=TrainConfig(drop_edge_p=0.5), rng=np.random.default_rng(0))
+    # an evaluation forward reads the field's rows, a training one the whole graph's
     with pytest.raises(ConfigError, match="feature rows"):
         model_forward(cfg, params, graph.features, field)
+    with pytest.raises(ConfigError, match="feature rows"):
+        model_forward(cfg, params, field.features_of(graph.features), field,
+                      training=TrainConfig(dropout_p=0.5), rng=np.random.default_rng(0))

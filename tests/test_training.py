@@ -10,7 +10,7 @@ import pytest
 from oodgat.errors import ConfigError, TrainingAbort
 from oodgat.engine import Tensor, backward
 from oodgat.graphs import SbmSpec, make_splits, sbm_generate
-from oodgat.layers import ModelConfig, ModelOutputs, graph_index, model_forward
+from oodgat.layers import ModelConfig, ModelOutputs, ReceptiveField, graph_index, model_forward
 from oodgat.losses import LossBreakdown, LossWeights
 from oodgat import training
 from oodgat.training import (
@@ -246,11 +246,12 @@ def test_step_records_are_one_based_and_contiguous(sbm_case):
     assert [s.step for s in history.steps] == list(range(1, 8))
 
 
-@pytest.mark.parametrize("arch,nodes", [("oodgat", [18, 19]), ("gat", [8, 8])])
+@pytest.mark.parametrize("arch,nodes", [("oodgat", [18, 19]), ("gat", [10, 10])])
 def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
     # the quick-start spec, two steps: oodgat with all three regularizers
     # (at step 1 every score is 0.5, so the entropy term selects no node
-    # and records nothing), gat on cross-entropy alone
+    # and records nothing), gat on cross-entropy alone, which trains on the
+    # training nodes' receptive field and keeps two layers' rows
     from oodgat.experiments import parse_spec, resolve_graph
 
     spec = parse_spec(Path(__file__).resolve().parents[1] / "specs" / "sbm-demo.spec")
@@ -268,3 +269,50 @@ def test_one_step_tape_length_on_the_sbm_demo_graph(monkeypatch, arch, nodes):
     train(replace(spec.model, architecture=arch), graph, make_splits(graph, seed=0), cfg)
     assert lengths == nodes
 
+
+@pytest.mark.parametrize("arch,weights,drop_edge_p,on_field", [
+    ("mlp", LossWeights(), 0.0, True),
+    ("gcn", LossWeights(), 0.0, True),
+    ("gat", LossWeights(), 0.0, True),
+    ("oodgat", LossWeights(), 0.0, True),
+    ("oodgat", LossWeights(beta=1.0), 0.0, False),
+    ("oodgat", LossWeights(gamma=0.05), 0.0, False),
+    ("oodgat", LossWeights(zeta=0.005), 0.0, False),
+    ("gcn", LossWeights(), 0.5, False),
+    ("oodgat", LossWeights(), 0.5, False),
+])
+def test_only_cross_entropy_runs_without_drop_edge_train_on_the_field(
+        monkeypatch, sbm_case, arch, weights, drop_edge_p, on_field):
+    graph, splits = sbm_case
+    model = ModelConfig(architecture=arch, num_classes=3, hidden_dim=8)
+    cfg = TrainConfig(dropout_p=0.5, drop_edge_p=drop_edge_p, max_steps=2,
+                      loss_weights=weights)
+    assert training.trains_on_field(model, cfg) == on_field
+    indices = []
+
+    def recording_forward(*args, **kwargs):
+        if kwargs.get("training") is not None:
+            indices.append(args[3])
+        return model_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "model_forward", recording_forward)
+    train(model, graph, splits, cfg)
+    assert len(indices) == 2
+    assert all(isinstance(index, ReceptiveField) == on_field for index in indices)
+    if on_field:
+        np.testing.assert_array_equal(indices[0].nodes, np.flatnonzero(splits.train_mask))
+
+
+@pytest.mark.parametrize("arch", ["mlp", "gcn", "gat", "oodgat"])
+def test_field_training_follows_full_graph_training(monkeypatch, sbm_case, arch):
+    # the same draws and the same step-1 loss; later steps differ at most
+    # in float order, as the weight gradients sum over fewer rows
+    graph, splits = sbm_case
+    model = ModelConfig(architecture=arch, num_classes=3, hidden_dim=8)
+    cfg = TrainConfig(dropout_p=0.5, max_steps=6, seed=4)
+    _, on_field = train(model, graph, splits, cfg)
+    monkeypatch.setattr(training, "trains_on_field", lambda *args: False)
+    _, whole = train(model, graph, splits, cfg)
+    assert on_field.steps[0].losses == whole.steps[0].losses
+    np.testing.assert_allclose([s.losses.ce for s in on_field.steps],
+                               [s.losses.ce for s in whole.steps], rtol=1e-9)
